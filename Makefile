@@ -9,11 +9,13 @@
 #   make bench-full   the tracked benchmarks at full fidelity (the nightly
 #                     CI tier, locally; 10^6-request traces — minutes)
 #   make bench-check  compare results against benchmarks/baselines.json
+#   make perfbench-selftest  the repo benchmark's own instrumentation tests
 #   make scale-smoke  boot the gateway single-process and sharded
 #                     (--workers N) and assert ledger-sum parity
 #   make ci           the full GitHub Actions pipeline, locally:
-#                     lint -> docs links -> tests -> coverage ->
-#                     bench smoke -> regression -> scale smoke
+#                     lint -> docs links -> tests -> perfbench
+#                     self-test -> coverage -> bench smoke ->
+#                     regression -> scale smoke
 #   make docs-check   documentation-consistency tests only
 #   make docs-links   internal markdown link/anchor checker
 #   make chip-bench   just the sharded multi-macro scaling benchmark
@@ -39,7 +41,7 @@ TRACKED_BENCHES := benchmarks/bench_chip_scaling.py \
 #: Coverage floor the CI coverage job enforces (keep in sync with ci.yml).
 COV_FAIL_UNDER := 83
 
-.PHONY: test lint coverage bench bench-smoke bench-full bench-check scale-smoke ci docs-check docs-links chip-bench examples clean
+.PHONY: test lint coverage bench bench-smoke bench-full bench-check perfbench-selftest scale-smoke ci docs-check docs-links chip-bench examples clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -70,6 +72,9 @@ bench-full:
 bench-check:
 	$(PYTHON) benchmarks/check_regression.py
 
+perfbench-selftest:
+	$(PYTHON) -m pytest -q perfbench/selftest.py
+
 scale-smoke:
 	$(PYTHON) tools/scale_smoke.py
 
@@ -79,6 +84,7 @@ ci:
 	$(MAKE) lint
 	$(MAKE) docs-links
 	$(MAKE) test
+	$(MAKE) perfbench-selftest
 	$(MAKE) coverage
 	$(MAKE) bench-smoke
 	$(MAKE) bench-check

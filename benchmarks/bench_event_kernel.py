@@ -1,12 +1,13 @@
 """Columnar event kernel vs object router: the 20x replay gate.
 
-The columnar :class:`repro.cluster.EventKernel` replays the same virtual-
-time simulation the object router runs — identical placements, ledgers,
-telemetry and fault handling (the differential suite pins bit-exactness) —
-but keeps its per-request state in columnar ledgers and replays engine
-charges in vectorized folds at flush time.  This benchmark measures what
-that buys on an identical trace-replay loop and exercises the kernel's
-aggregate-only deployment shape:
+``ClusterRouter(kernel="columnar")`` runs the object router's own
+per-request loop and adds the :class:`repro.cluster.EventKernel` turbo
+chunks: steady-state replay chunks admitted and dispatched in batch, with
+telemetry in columnar ledgers and engine charges replayed in vectorized
+folds at flush time — identical placements, ledgers, telemetry and fault
+handling (the differential suite pins bit-exactness).  This benchmark
+measures what that buys on an identical trace-replay loop and exercises
+the kernel's aggregate-only deployment shape:
 
 * **object** — the per-request object router on a prefix of the trace
   (both kernels on the analytic execution path; the object router costs

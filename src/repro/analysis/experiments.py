@@ -1051,9 +1051,10 @@ def million_request_trace_study(
     fast nodes, so the same trace pressures every fleet identically while
     staying inside the modeled service capacity of the fast configuration.
 
-    ``kernel`` selects the router implementation: ``"object"`` replays the
-    trace through the per-request object router, ``"columnar"`` through the
-    vectorized :class:`repro.cluster.EventKernel` — the study's numbers are
+    ``kernel`` selects the router kernel: ``"object"`` replays every
+    request through the router's per-request loop, ``"columnar"`` runs
+    steady-state chunks as :class:`repro.cluster.EventKernel` turbo chunks
+    and the rest through that same loop — the study's numbers are
     bit-identical either way (the fidelity contract the differential tests
     pin); the columnar kernel just gets there much faster.
 
@@ -1361,9 +1362,11 @@ def fleet_reliability_study(
       capacity is out,
     * **replay overhead** — how many requests needed re-placement.
 
-    ``kernel`` selects the router implementation (``"object"`` or
-    ``"columnar"``); fault application, replays, autoscaler actions and
-    every reported number are bit-identical across the two.
+    ``kernel`` selects the router kernel (``"object"`` or ``"columnar"``;
+    the study replays request by request, so both run the router's one
+    per-request loop and differ only in their telemetry log); fault
+    application, replays, autoscaler actions and every reported number are
+    bit-identical across the two.
 
     Returns ``{scenario: FleetReliabilityPoint}``.
     """

@@ -1,66 +1,55 @@
-"""Columnar discrete-event kernel for the cluster router.
+"""Columnar accelerator for the cluster router: turbo replay + telemetry.
 
-:class:`EventKernel` replays the router's virtual-time serving loop —
-admission, SLA placement, the lazy dispatch heap, fault injection, parked
-backlog replay, coalescing — over *columnar* request ledgers instead of
-per-request Python object churn.  ``ClusterRouter(kernel="columnar")``
-delegates to it; the default object router stays the bit-exactness oracle
-(the same pattern the per-lane macro references use).
+``ClusterRouter(kernel="columnar")`` runs the router's one per-request
+serving loop — admission, SLA placement, the lazy dispatch heap, fault
+injection, parked-backlog replay, coalescing — and adds three things
+from this module:
 
-The fidelity contract ("bit-identical") covers every externally observable
-number: merged ledgers (cycles *and* float energy), per-request trace rows,
-telemetry aggregates, placement decisions, fault logs, and request
-conservation counters, in both EXACT and ANALYTIC execution modes, with
-fault plans and coalescing.  Two mechanisms make that possible at >20x the
-object router's request rate:
-
-* **Deferred charge replay.**  In ANALYTIC mode a warm dispatch's engine
-  charges are a fixed template per (model, slice size): the same
+* **Turbo chunk replay.**  :meth:`EventKernel.replay_trace` runs each
+  steady-state ``drain_every`` chunk of a workload trace (warm analytic
+  fleet, stock scheduler, no coalescing, no fault due, aggregates only) as
+  one batch admission+dispatch pass that reproduces the per-request loop's
+  placements, virtual times and telemetry value for value.  Every other
+  chunk goes through the router's own ``submit``/``drain``.
+* **Deferred charge replay.**  A turbo dispatch's engine charges are a
+  fixed template per (model, slice size): the same
   :meth:`~repro.core.matmul.TiledMatmulEngine.charge_layers` rows in the
   same order.  The kernel buffers the per-node *sequence* of slice
   signatures and flushes it with ``np.add.accumulate`` folds — a strict
   sequential left fold, so every float accumulator receives the identical
-  sequence of additions the object router performs, add for add.  Integer
-  counters are batch-added (exact), LRU order is restored from last-touch
-  order, and per-dispatch energies are recovered from the accumulator's
-  slice boundaries exactly as ``ledger_since`` subtracts them.
+  sequence of additions the per-request loop performs, add for add.
+  Integer counters are batch-added (exact), LRU order is restored from
+  last-touch order, and per-dispatch energies are recovered from the
+  accumulator's slice boundaries exactly as ``ledger_since`` subtracts
+  them.
 * **Columnar telemetry.**  :class:`ColumnarTelemetry` stores one tuple per
-  trace (energies filled at flush) and serves every aggregate with the
-  same left-fold order ``sum()`` uses; ``retain_traces=False`` folds
+  trace (turbo energies filled at flush) and serves every aggregate with
+  the same left-fold order ``sum()`` uses; ``retain_traces=False`` folds
   chunks into running aggregates and drops the rows, which is what keeps a
   10^8-request replay in flat memory.
 
-Anything the fast path cannot replicate bit-exactly — cold programming,
-EXACT mode, custom scheduler subclasses, execution failures — flushes the
-deferred state and falls back to the very same node/scheduler calls the
-object router makes, so the slow path *is* the oracle.
-
-Direct node-level reads (``node.ledger()`` mid-run) may observe deferred
-charges; any router-level read (``ledger()``, ``summary()``, telemetry
-aggregates, ``drain()`` results) flushes first.
+The fidelity contract ("bit-identical" to ``kernel="object"``) covers every
+externally observable number: merged ledgers (cycles *and* float energy),
+per-request trace rows, telemetry aggregates, placement decisions, fault
+logs, and request conservation counters.  A node's deferred charges are
+flushed before the router executes on it, before it is retuned, and
+before any router-level read (``ledger()``, ``summary()``, telemetry
+aggregates); a direct ``node.ledger()`` read mid-replay may observe them
+still pending.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from itertools import repeat
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.node import ClusterNode, ExecutionMode, NodeState
-from repro.cluster.scheduler import (
-    ClusterRequest,
-    NoActiveNodesError,
-    PlacementDecision,
-    SLAClass,
-    SLAScheduler,
-)
+from repro.cluster.scheduler import SLAClass, SLAScheduler
 from repro.cluster.telemetry import RequestTrace
 from repro.core import Opcode
 from repro.errors import ConfigurationError
-from repro.reliability.faults import FaultEvent, FaultKind
 from repro.utils.validation import check_positive
 
 #: ``sla_indices`` decoding used by workload traces (= workload.SLA_ORDER).
@@ -165,20 +154,29 @@ class ColumnarTelemetry:
         if has_deadline:
             self.deadline_trace_count += 1
 
-    def record_row(self, row: tuple, energy: Optional[float]) -> int:
-        """Append one trace row; returns its index (for deferred energy).
+    def record(self, trace: RequestTrace) -> None:
+        """Append one trace (the router loop's :class:`ClusterTelemetry` API).
 
-        ``row`` is the :class:`RequestTrace` field tuple *without*
+        Stored as the :class:`RequestTrace` field tuple *without*
         ``energy_j``: (request_id, model_id, node_id, sla, images,
         arrival_s, start_s, finish_s, compute_s, deadline_s,
         deadline_missed, affinity_hit, programmed, feasible_at_admission,
-        execution_mode, coalesced, spot_checked, replayed).
+        execution_mode, coalesced, spot_checked, replayed); the energy goes
+        to a parallel column, which turbo rows fill at flush time.
         """
-        index = len(self._rows)
-        self._rows.append(row)
-        self._energy.append(energy)
-        self._note(row[1], row[3], row[9] is not None, row[10])
-        return index
+        self._rows.append((
+            trace.request_id, trace.model_id, trace.node_id, trace.sla,
+            trace.images, trace.arrival_s, trace.start_s, trace.finish_s,
+            trace.compute_s, trace.deadline_s, trace.deadline_missed,
+            trace.affinity_hit, trace.programmed,
+            trace.feasible_at_admission, trace.execution_mode,
+            trace.coalesced, trace.spot_checked, trace.replayed,
+        ))
+        self._energy.append(trace.energy_j)
+        self._note(
+            trace.model_id, trace.sla, trace.deadline_s is not None,
+            trace.deadline_missed,
+        )
 
     def record_rows_batch(self, rows: List[tuple]) -> int:
         """Append a chunk of trace rows (energies deferred); returns the
@@ -186,7 +184,7 @@ class ColumnarTelemetry:
 
         The batch entry point of the kernel's turbo replay: one call per
         dispatch chunk instead of one per request.  The sliding window ends
-        in the same state sequential :meth:`record_row` calls leave it in —
+        in the same state sequential :meth:`record` calls leave it in —
         when the chunk covers the whole window only the tail can survive,
         so the window is rebuilt from the tail directly.
         """
@@ -223,10 +221,6 @@ class ColumnarTelemetry:
         if not self.retain_traces and len(self._rows) >= self._AGG_FLUSH_ROWS:
             self._flush()
 
-    def set_energy(self, index: int, energy: float) -> None:
-        """Fill a deferred energy share (called by the kernel's flush)."""
-        self._energy[index] = energy
-
     def set_energy_batch(
         self, indexes: Sequence[int], energies: Sequence[float]
     ) -> None:
@@ -234,20 +228,6 @@ class ColumnarTelemetry:
         column = self._energy
         for index, energy in zip(indexes, energies):
             column[index] = energy
-
-    def record(self, trace: RequestTrace) -> None:
-        """Object-telemetry-compatible entry point (tests, manual use)."""
-        self.record_row(
-            (
-                trace.request_id, trace.model_id, trace.node_id, trace.sla,
-                trace.images, trace.arrival_s, trace.start_s, trace.finish_s,
-                trace.compute_s, trace.deadline_s, trace.deadline_missed,
-                trace.affinity_hit, trace.programmed,
-                trace.feasible_at_admission, trace.execution_mode,
-                trace.coalesced, trace.spot_checked, trace.replayed,
-            ),
-            trace.energy_j,
-        )
 
     def attach_instrumentation(self, instrumentation) -> None:
         """Fold future flushes into a cluster instrumentation registry.
@@ -653,10 +633,7 @@ class _DispatchSig:
 class _ChargeBuffer:
     """Per-node deferred charge state: the slice-event sequence."""
 
-    __slots__ = (
-        "engine", "dispatches", "row_indexes", "ordinals", "fractions",
-        "any_fraction", "macros_seen",
-    )
+    __slots__ = ("engine", "dispatches", "row_indexes", "ordinals", "macros_seen")
 
     def __init__(self, engine) -> None:
         self.engine = engine
@@ -665,11 +642,9 @@ class _ChargeBuffer:
         #: flush dedupes them by identity and replays vectorized).
         self.dispatches: List[List[_SliceSig]] = []
         #: Deferred telemetry rows, as parallel columns:
-        #: row index / dispatch ordinal / coalesced fraction (or None).
+        #: row index / dispatch ordinal.
         self.row_indexes: List[int] = []
         self.ordinals: List[int] = []
-        self.fractions: List[Optional[float]] = []
-        self.any_fraction = False
         #: Macros whose MULT/ADD records were already created on this chip.
         self.macros_seen: Set[int] = set()
 
@@ -677,8 +652,6 @@ class _ChargeBuffer:
         self.dispatches = []
         self.row_indexes = []
         self.ordinals = []
-        self.fractions = []
-        self.any_fraction = False
 
 
 def _flush_buffer(node: ClusterNode, buf: _ChargeBuffer, telemetry) -> None:
@@ -882,36 +855,10 @@ def _flush_buffer(node: ClusterNode, buf: _ChargeBuffer, telemetry) -> None:
     row_indexes = buf.row_indexes
     if row_indexes:
         shares = denergy[np.asarray(buf.ordinals, dtype=np.intp)]
-        if buf.any_fraction:
-            shares_list = shares.tolist()
-            for k, fraction in enumerate(buf.fractions):
-                if fraction is not None:
-                    shares_list[k] = shares_list[k] * fraction
-            shares = np.asarray(shares_list, dtype=np.float64)
-        else:
-            shares_list = shares.tolist()
-        set_batch = getattr(telemetry, "set_energy_batch", None)
-        if set_batch is not None:
-            set_batch(row_indexes, shares_list)
-        else:  # pragma: no cover - object-telemetry compatibility
-            for row_index, share in zip(row_indexes, shares_list):
-                telemetry.set_energy(row_index, share)
+        telemetry.set_energy_batch(row_indexes, shares.tolist())
         node_tel = node.telemetry
         node_tel.energy_j = _fold(node_tel.energy_j, [shares])
     buf.reset()
-
-
-# ---------------------------------------------------------------------- #
-# Queue entry layout (plain tuples: object churn is what we are removing)
-# ---------------------------------------------------------------------- #
-#: (request_id, model_id, images, sla, arrival_s, deadline_s, input_digest,
-#:  image_count, reserved span, feasible_at_admission)
-_E_RID, _E_MODEL, _E_IMAGES, _E_SLA, _E_ARRIVAL, _E_DEADLINE = 0, 1, 2, 3, 4, 5
-_E_DIGEST, _E_COUNT, _E_SPAN, _E_FEASIBLE = 6, 7, 8, 9
-
-#: Decision layout: (node_id, sla, feasible, affinity_hit, replicated,
-#: est_start_s, est_finish_s, est_latency_s, est_energy_per_image_j,
-#: candidates) — materialized into PlacementDecision on demand.
 
 
 class _NodeCache:
@@ -930,60 +877,23 @@ class _NodeCache:
 
 
 class EventKernel:
-    """Columnar replacement of the object router's virtual-time loop.
+    """Turbo chunk replay and deferred charges for ``kernel="columnar"``.
 
-    Holds the same admission / dispatch-heap / fault state machine as
-    :class:`~repro.cluster.router.ClusterRouter` (which delegates to it when
-    built with ``kernel="columnar"``), but keeps requests as plain tuples,
-    placements as tuples, telemetry as columnar rows, and warm analytic
-    charges as deferred slice signatures — see the module docstring for the
-    fidelity contract.
+    Every request that does not run in a turbo chunk takes the
+    :class:`~repro.cluster.router.ClusterRouter`'s own per-request loop;
+    the kernel reads and writes that router's clock, completion, request-id
+    and counter state directly, so both paths share one virtual timeline.
+    Turbo chunks buffer each node's engine charges as slice signatures,
+    applied by :meth:`flush_node` before the router next executes on the
+    node, before it is retuned, and before any router-level read.
     """
 
-    def __init__(self, router, retain_results: bool = True) -> None:
+    def __init__(self, router) -> None:
         self.router = router
-        self.nodes = router.nodes
-        self._by_id = router._by_id
-        self.scheduler = router.scheduler
-        self.telemetry = router.telemetry
-        self.coalesce = router.coalesce
-        #: False drops per-request results (drain returns []); counters and
-        #: telemetry stay exact.  The 10^8-request flat-memory mode.
-        self.retain_results = retain_results
-        #: Subclassed schedulers get the generic (oracle) choose path.
-        self._fast_sched = type(self.scheduler) is SLAScheduler
-        self._fault_events: Tuple[FaultEvent, ...] = router._fault_events
-        self._fault_cursor = 0
-        self.fault_log = router.fault_log  # shared list, single log
-        self.clock = 0.0
-        self._queues: Dict[str, Deque[tuple]] = {
-            node.node_id: deque() for node in self.nodes
-        }
-        self._completed: Dict[str, float] = {
-            node.node_id: 0.0 for node in self.nodes
-        }
-        self._heap: List[Tuple[float, str]] = []
-        self._queued = 0
-        self._pending_by_model: Dict[str, Dict[str, int]] = {}
-        self._seen_state: Dict[str, NodeState] = {
-            node.node_id: node.state for node in self.nodes
-        }
-        self._stranded: Set[str] = set()
-        self._replayed: Set[int] = set()
-        self.replayed_placements = 0
-        self._next_rid = 0
-        self._decisions: Dict[int, tuple] = {}
-        self._failed: Dict[int, BaseException] = {}
-        self._results: Dict[int, object] = {}
-        self._pending_results: Dict[int, tuple] = {}
-        self._completed_count = 0
         self._ncache: Dict[str, _NodeCache] = {}
         self._buffers: Dict[str, _ChargeBuffer] = {}
-        from repro.cluster.router import ClusterResult  # deferred: cycle
-
-        self._result_cls = ClusterResult
-        self.telemetry._flush_hook = self.flush_all
-        for node in self.nodes:
+        router.telemetry._flush_hook = self.flush_all
+        for node in router.nodes:
             node._pre_mutate_hooks.append(
                 lambda node_id=node.node_id: self.flush_node(node_id)
             )
@@ -995,11 +905,12 @@ class EventKernel:
         """Apply one node's buffered charge sequence to its real ledgers."""
         buf = self._buffers.get(node_id)
         if buf is not None and buf.dispatches:
-            _flush_buffer(self._by_id[node_id], buf, self.telemetry)
+            router = self.router
+            _flush_buffer(router._by_id[node_id], buf, router.telemetry)
 
     def flush_all(self) -> None:
         """Apply every node's buffered charges (router-level reads)."""
-        for node in self.nodes:
+        for node in self.router.nodes:
             self.flush_node(node.node_id)
 
     def _node_cache(self, node: ClusterNode) -> _NodeCache:
@@ -1026,421 +937,6 @@ class EventKernel:
             nc.turbo = {}
         return nc
 
-    # ------------------------------------------------------------------ #
-    # Fault injection
-    # ------------------------------------------------------------------ #
-    def _apply_due_faults(self) -> None:
-        events = self._fault_events
-        while (
-            self._fault_cursor < len(events)
-            and events[self._fault_cursor].at_s <= self.clock
-        ):
-            event = events[self._fault_cursor]
-            self._fault_cursor += 1
-            self._apply_fault(event)
-
-    def _apply_fault(self, event: FaultEvent) -> None:
-        node = self._by_id[event.node_id]
-        if event.kind is FaultKind.CRASH:
-            if node.state is not NodeState.FAILED:
-                node.fail()
-            self._seen_state[event.node_id] = NodeState.FAILED
-            if self._queues[event.node_id]:
-                self._replace_parked_backlog(event.node_id)
-        elif event.kind is FaultKind.RECOVER:
-            node.recover()
-            if self._seen_state[event.node_id] is not NodeState.ACTIVE:
-                self._seen_state[event.node_id] = NodeState.ACTIVE
-                self._push_head_candidate(event.node_id)
-                self._retry_stranded()
-        elif event.kind is FaultKind.STALL:
-            self._completed[event.node_id] = (
-                max(self._completed[event.node_id], event.at_s) + event.duration_s
-            )
-            self._rebuild_reservation(event.node_id)
-        elif event.kind is FaultKind.DEGRADE:
-            node.degrade(event.factor)
-        elif event.kind is FaultKind.RESTORE:
-            node.restore()
-        self.fault_log.append(event)
-
-    def _advance_to_next_fault(self) -> bool:
-        if self._fault_cursor >= len(self._fault_events):
-            return False
-        self.clock = max(self.clock, self._fault_events[self._fault_cursor].at_s)
-        return True
-
-    # ------------------------------------------------------------------ #
-    # Queue bookkeeping
-    # ------------------------------------------------------------------ #
-    def _enqueue(self, node_id: str, entry: tuple) -> None:
-        queue = self._queues[node_id]
-        queue.append(entry)
-        self._queued += 1
-        counts = self._pending_by_model.setdefault(entry[_E_MODEL], {})
-        counts[node_id] = counts.get(node_id, 0) + 1
-        if len(queue) == 1 and self._by_id[node_id].state is NodeState.ACTIVE:
-            heapq.heappush(
-                self._heap,
-                (max(self._completed[node_id], entry[_E_ARRIVAL]), node_id),
-            )
-
-    def _dequeue_head(self, node_id: str) -> tuple:
-        entry = self._queues[node_id].popleft()
-        self._queued -= 1
-        counts = self._pending_by_model[entry[_E_MODEL]]
-        remaining = counts[node_id] - 1
-        if remaining:
-            counts[node_id] = remaining
-        else:
-            del counts[node_id]
-            if not counts:
-                del self._pending_by_model[entry[_E_MODEL]]
-        return entry
-
-    def _push_head_candidate(self, node_id: str) -> None:
-        queue = self._queues[node_id]
-        if queue:
-            heapq.heappush(
-                self._heap,
-                (max(self._completed[node_id], queue[0][_E_ARRIVAL]), node_id),
-            )
-
-    def _pending_nodes(self, model_id: str) -> frozenset:
-        counts = self._pending_by_model.get(model_id)
-        if not counts:
-            return frozenset()
-        return frozenset(counts)
-
-    def queue_depth(self, node_id: Optional[str] = None) -> int:
-        if node_id is not None:
-            return len(self._queues[node_id])
-        return self._queued
-
-    # ------------------------------------------------------------------ #
-    # Placement
-    # ------------------------------------------------------------------ #
-    def _choose_fast(self, model_id, images, sla, arrival, deadline) -> tuple:
-        """Inlined :meth:`SLAScheduler.choose` over cached estimate bundles.
-
-        Value- and order-identical to the scheduler: same candidate order
-        (fleet order, active only), same ranking keys, same first-minimum
-        tie-breaks, same pool restrictions.
-        """
-        scheduler = self.scheduler
-        scored = []
-        for node in self.nodes:
-            if node.state is not NodeState.ACTIVE:
-                continue
-            nc = self._node_cache(node)
-            key = (model_id, images.shape)
-            est = nc.estimates.get(key)
-            if est is None:
-                est = node.estimate_request(model_id, images)
-                nc.estimates[key] = est
-            scored.append(
-                (node, est, max(node.available_s, arrival) + est.latency_s,
-                 nc.hazard)
-            )
-        if not scored:
-            raise NoActiveNodesError(
-                "no active nodes: wake a parked node before submitting"
-            )
-        pending = self._pending_by_model.get(model_id)
-        hw = scheduler.hazard_weight
-
-        if sla is SLAClass.LATENCY:
-            best = best_key = None
-            any_feasible = False
-            for e in scored:
-                lat = e[2] - arrival
-                feasible = lat <= deadline
-                if feasible and not any_feasible:
-                    any_feasible = True
-                    best = best_key = None
-                if any_feasible and not feasible:
-                    continue
-                k = (lat * (1.0 + hw * e[3]), e[1].energy_j, e[0].node_id)
-                if best_key is None or k < best_key:
-                    best, best_key = e, k
-            node, est, finish, _ = best
-            is_feasible = any_feasible
-            has_resident = any(
-                e[1].resident or (pending and e[0].node_id in pending)
-                for e in scored
-            )
-        else:
-            resident = [
-                e for e in scored
-                if e[1].resident or (pending and e[0].node_id in pending)
-            ]
-            hot = (
-                self.telemetry.recent_model_dispatches(model_id)
-                >= scheduler.hot_threshold
-            )
-            if not resident:
-                pool = scored
-            else:
-                spreading = (
-                    hot
-                    and len(resident) < scheduler.max_replicas
-                    and len(resident) < len(scored)
-                )
-                pool = (
-                    [e for e in scored if not e[1].resident]
-                    if spreading
-                    else resident
-                )
-            if scheduler.coalesce_affinity and pending:
-                mergeable = [e for e in pool if e[0].node_id in pending]
-                if mergeable:
-                    pool = mergeable
-            best = best_key = None
-            if sla is SLAClass.THROUGHPUT:
-                for e in pool:
-                    k = (
-                        e[1].energy_per_image_j * (1.0 + hw * e[3]),
-                        e[2],
-                        e[0].node_id,
-                    )
-                    if best_key is None or k < best_key:
-                        best, best_key = e, k
-            else:  # BEST_EFFORT
-                for e in pool:
-                    k = (
-                        (max(e[0].available_s, arrival) - arrival)
-                        * (1.0 + hw * e[3]),
-                        e[3],
-                        e[0].node_id,
-                    )
-                    if best_key is None or k < best_key:
-                        best, best_key = e, k
-            node, est, finish, _ = best
-            is_feasible = True
-            has_resident = bool(resident)
-        return (
-            node.node_id,
-            sla,
-            is_feasible,
-            est.resident,
-            bool(has_resident) and not est.resident,
-            max(node.available_s, arrival),
-            finish,
-            est.latency_s,
-            est.energy_per_image_j,
-            len(scored),
-        )
-
-    def _choose_generic(
-        self, rid, model_id, images, sla, arrival, deadline, digest
-    ) -> tuple:
-        """Oracle path for subclassed schedulers: real ClusterRequest + choose."""
-        request = ClusterRequest(
-            request_id=rid,
-            model_id=model_id,
-            images=images,
-            sla=sla,
-            arrival_s=arrival,
-            deadline_s=deadline,
-            input_digest=digest,
-        )
-        d = self.scheduler.choose(
-            request, self.nodes, self.telemetry,
-            pending=self._pending_nodes(model_id),
-        )
-        return (
-            d.node_id, d.sla, d.feasible, d.affinity_hit, d.replicated,
-            d.est_start_s, d.est_finish_s, d.est_latency_s,
-            d.est_energy_per_image_j, d.candidates,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Admission
-    # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        model_id: str,
-        images: np.ndarray,
-        sla: SLAClass = SLAClass.BEST_EFFORT,
-        deadline_s: Optional[float] = None,
-        arrival_s: Optional[float] = None,
-        input_digest: Optional[str] = None,
-    ) -> int:
-        images = np.asarray(images, dtype=np.float64)
-        if images.ndim != 4 or images.shape[0] == 0:
-            raise ConfigurationError(
-                "expected a non-empty (batch, channels, height, width) array"
-            )
-        if sla is SLAClass.LATENCY:
-            if deadline_s is None or deadline_s <= 0:
-                raise ConfigurationError(
-                    "latency-class requests need a positive deadline_s"
-                )
-        arrival = self.clock if arrival_s is None else float(arrival_s)
-        if arrival < 0:
-            raise ConfigurationError("arrival_s must be non-negative")
-        if arrival > self.clock:
-            self.clock = arrival
-        self._apply_due_faults()
-        rid = self._next_rid
-        self._next_rid += 1
-        try:
-            if self._fast_sched:
-                decision = self._choose_fast(
-                    model_id, images, sla, arrival, deadline_s
-                )
-            else:
-                decision = self._choose_generic(
-                    rid, model_id, images, sla, arrival, deadline_s, input_digest
-                )
-        except NoActiveNodesError:
-            if NodeState.FAILED not in [node.state for node in self.nodes]:
-                raise
-            self._strand(rid, model_id, images, sla, arrival, deadline_s,
-                         input_digest)
-            return rid
-        node = self._by_id[decision[0]]
-        node.available_s = decision[6]
-        entry = (
-            rid, model_id, images, sla, arrival, deadline_s, input_digest,
-            int(images.shape[0]), decision[6] - decision[5], decision[2],
-        )
-        self._enqueue(node.node_id, entry)
-        if self.retain_results:
-            self._decisions[rid] = decision
-        return rid
-
-    def _strand(self, rid, model_id, images, sla, arrival, deadline, digest):
-        node = min(self.nodes, key=lambda n: n.node_id)
-        decision = (
-            node.node_id, sla, False, False, False, arrival, arrival,
-            0.0, 0.0, 0,
-        )
-        entry = (
-            rid, model_id, images, sla, arrival, deadline, digest,
-            int(images.shape[0]), 0.0, False,
-        )
-        self._enqueue(node.node_id, entry)
-        if self.retain_results:
-            self._decisions[rid] = decision
-        self._stranded.add(node.node_id)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle transitions (park/wake/crash replay)
-    # ------------------------------------------------------------------ #
-    def _rebuild_reservation(self, node_id: str) -> None:
-        available = self._completed[node_id]
-        for entry in self._queues[node_id]:
-            start = max(available, entry[_E_ARRIVAL])
-            available = start + entry[_E_SPAN]
-        self._by_id[node_id].available_s = available
-
-    def _sync_states(self) -> None:
-        woke = False
-        for node in self.nodes:
-            node_id = node.node_id
-            state = node.state
-            if state is self._seen_state[node_id]:
-                continue
-            self._seen_state[node_id] = state
-            obs = getattr(self.router, "_obs", None)
-            if obs is not None:
-                obs.node_transition(node_id, state.name.lower())
-            if state is NodeState.ACTIVE:
-                woke = True
-                self._push_head_candidate(node_id)
-            elif self._queues[node_id]:
-                self._replace_parked_backlog(node_id)
-        if woke:
-            self._retry_stranded()
-
-    def _retry_stranded(self) -> None:
-        for node_id in sorted(self._stranded):
-            if self._by_id[node_id].state is NodeState.ACTIVE:
-                self._stranded.discard(node_id)
-            elif self._queues[node_id]:
-                self._replace_parked_backlog(node_id)
-            else:
-                self._stranded.discard(node_id)
-
-    def _replace_parked_backlog(self, node_id: str) -> None:
-        node = self._by_id[node_id]
-        stranded: List[tuple] = []
-        while self._queues[node_id]:
-            stranded.append(self._dequeue_head(node_id))
-        node.available_s = self._completed[node_id]
-        for index, entry in enumerate(stranded):
-            try:
-                if self._fast_sched:
-                    decision = self._choose_fast(
-                        entry[_E_MODEL], entry[_E_IMAGES], entry[_E_SLA],
-                        entry[_E_ARRIVAL], entry[_E_DEADLINE],
-                    )
-                else:
-                    decision = self._choose_generic(
-                        entry[_E_RID], entry[_E_MODEL], entry[_E_IMAGES],
-                        entry[_E_SLA], entry[_E_ARRIVAL], entry[_E_DEADLINE],
-                        entry[_E_DIGEST],
-                    )
-            except NoActiveNodesError:
-                for item in stranded[index:]:
-                    self._enqueue(node_id, item)
-                self._rebuild_reservation(node_id)
-                self._stranded.add(node_id)
-                return
-            target = self._by_id[decision[0]]
-            target.available_s = decision[6]
-            self._enqueue(
-                target.node_id,
-                entry[:_E_SPAN] + (decision[6] - decision[5], decision[2]),
-            )
-            if self.retain_results:
-                self._decisions[entry[_E_RID]] = decision
-            self._replayed.add(entry[_E_RID])
-            self.replayed_placements += 1
-        self._stranded.discard(node_id)
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
-    def _select_head(self) -> Optional[Tuple[str, float]]:
-        heap = self._heap
-        while heap:
-            start, node_id = heapq.heappop(heap)
-            if self._by_id[node_id].state is not NodeState.ACTIVE:
-                continue
-            queue = self._queues[node_id]
-            if not queue:
-                continue
-            actual = max(self._completed[node_id], queue[0][_E_ARRIVAL])
-            if actual != start:
-                heapq.heappush(heap, (actual, node_id))
-                continue
-            return node_id, start
-        return None
-
-    def _gather_group(self, node: ClusterNode, start: float) -> List[tuple]:
-        node_id = node.node_id
-        group = [self._dequeue_head(node_id)]
-        if not self.coalesce:
-            return group
-        head = group[0]
-        budget = node.max_batch_size - head[_E_COUNT]
-        queue = self._queues[node_id]
-        head_tail = head[_E_IMAGES].shape[1:]
-        while queue:
-            candidate = queue[0]
-            if (
-                candidate[_E_MODEL] != head[_E_MODEL]
-                or candidate[_E_ARRIVAL] > start
-                or candidate[_E_COUNT] > budget
-                or candidate[_E_IMAGES].shape[1:] != head_tail
-            ):
-                break
-            budget -= candidate[_E_COUNT]
-            group.append(self._dequeue_head(node_id))
-        return group
-
     def _fast_ok(self, node: ClusterNode, nc: _NodeCache, model_id: str) -> bool:
         ok = nc.fast_ok.get(model_id)
         if ok is None:
@@ -1466,287 +962,13 @@ class EventKernel:
             start += size
         return _DispatchSig(slices, nc.cycle_time)
 
-    def _dispatch_group(self) -> List[int]:
-        """Run the next dispatch; returns the completed request ids."""
-        while True:
-            self._apply_due_faults()
-            self._sync_states()
-            selected = self._select_head()
-            if selected is not None:
-                break
-            if self._queued and self._advance_to_next_fault():
-                continue
-            return []
-        node_id, start = selected
-        node = self._by_id[node_id]
-        group = self._gather_group(node, start)
-        if node.execution_mode is ExecutionMode.ANALYTIC:
-            nc = self._node_cache(node)
-            if self._fast_ok(node, nc, group[0][_E_MODEL]):
-                return self._dispatch_fast(node, nc, group, start)
-        return self._dispatch_slow(node, group, start)
+    def submit(self, model_id: str, images: np.ndarray, **kwargs) -> int:
+        """Admit one request of a fallback (non-turbo) chunk.
 
-    def _dispatch_fast(
-        self, node: ClusterNode, nc: _NodeCache, group: List[tuple],
-        start: float,
-    ) -> List[int]:
-        """Warm analytic dispatch: template charges, deferred; memo forward."""
-        node_id = node.node_id
-        model_id = group[0][_E_MODEL]
-        single = len(group) == 1
-        if single:
-            total = group[0][_E_COUNT]
-        else:
-            total = 0
-            for e in group:
-                total += e[_E_COUNT]
-        dkey = (model_id, group[0][_E_IMAGES].shape[1:], total)
-        dsig = nc.dsigs.get(dkey)
-        if dsig is None:
-            dsig = self._build_dsig(node, nc, model_id, dkey[1], total)
-            nc.dsigs[dkey] = dsig
-        buf = self._buffers.get(node_id)
-        if buf is None:
-            buf = _ChargeBuffer(node.engine)
-            self._buffers[node_id] = buf
-        elif not buf.dispatches and buf.engine is not node.engine:
-            buf.engine = node.engine
-            buf.macros_seen.clear()
-        # Charges are buffered *before* the forward (the object path charges
-        # before predicting), so a failing spot check leaves them applied.
-        ordinal = len(buf.dispatches)
-        buf.dispatches.append(dsig.slices)
-        compute_s = dsig.compute_s(node.degrade_factor)
-        try:
-            if single:
-                entry = group[0]
-                images = entry[_E_IMAGES]
-                digest = entry[_E_DIGEST]
-                key = (
-                    (model_id, digest)
-                    if digest is not None
-                    else (model_id, node._content_digest(images))
-                )
-                predictions, spot_checked = node._memo_predict(
-                    model_id, key, lambda: images
-                )
-            else:
-                key = (
-                    model_id,
-                    "group",
-                    tuple(
-                        e[_E_DIGEST]
-                        if e[_E_DIGEST] is not None
-                        else node._content_digest(e[_E_IMAGES])
-                        for e in group
-                    ),
-                )
-                grouped, spot_checked = node._memo_predict(
-                    model_id, key,
-                    lambda: np.concatenate([e[_E_IMAGES] for e in group]),
-                )
-        except Exception as error:
-            for e in group:
-                self._failed[e[_E_RID]] = error
-            self._rebuild_reservation(node_id)
-            self._push_head_candidate(node_id)
-            raise
-        finish = start + compute_s
-        self._completed[node_id] = finish
-        if finish > self.clock:
-            self.clock = finish
-        self._rebuild_reservation(node_id)
-        self._push_head_candidate(node_id)
-
-        coalesced = len(group)
-        telemetry = self.telemetry
-        ntel = node.telemetry
-        retain = self.retain_results
-        replayed_set = self._replayed
-        if not single:
-            buf.any_fraction = True
-        row_app = buf.row_indexes.append
-        ord_app = buf.ordinals.append
-        frac_app = buf.fractions.append
-        rids: List[int] = []
-        offset = 0
-        for e in group:
-            rid = e[_E_RID]
-            count = e[_E_COUNT]
-            if single:
-                fraction = None
-                compute_share = compute_s
-                request_predictions = predictions
-            else:
-                fraction = count / total
-                compute_share = compute_s * fraction
-                request_predictions = grouped[offset : offset + count]
-                offset += count
-            arrival = e[_E_ARRIVAL]
-            deadline = e[_E_DEADLINE]
-            latency = finish - arrival
-            missed = deadline is not None and latency > deadline
-            index = telemetry.record_row(
-                (
-                    rid, model_id, node_id, e[_E_SLA].value, count, arrival,
-                    start, finish, compute_share, deadline, missed, True,
-                    False, e[_E_FEASIBLE], "analytic", coalesced,
-                    spot_checked, rid in replayed_set,
-                ),
-                None,
-            )
-            row_app(index)
-            ord_app(ordinal)
-            frac_app(fraction)
-            # Inlined NodeTelemetry.record (energy deferred to the flush).
-            ntel.dispatches += 1
-            ntel.images += count
-            ntel.busy_s += compute_share
-            if missed:
-                ntel.deadline_misses += 1
-            ntel.affinity_hits += 1
-            sample = compute_share / count
-            if ntel.dispatches == 1:
-                ntel.ewma_image_latency_s = sample
-            else:
-                ntel.ewma_image_latency_s += ntel.ewma_alpha * (
-                    sample - ntel.ewma_image_latency_s
-                )
-            if retain:
-                self._pending_results[rid] = (index, e[_E_SLA], request_predictions)
-            rids.append(rid)
-        self._completed_count += coalesced
-        return rids
-
-    def _dispatch_slow(
-        self, node: ClusterNode, group: List[tuple], start: float
-    ) -> List[int]:
-        """Oracle dispatch: flush the node's deferred charges (so its ledger
-        folds stay in chronological order), then run the real node calls."""
-        node_id = node.node_id
-        self.flush_node(node_id)
-        model_id = group[0][_E_MODEL]
-        try:
-            if len(group) == 1:
-                entry = group[0]
-                dispatch = node.execute(
-                    model_id, entry[_E_IMAGES], input_digest=entry[_E_DIGEST]
-                )
-                predictions = [dispatch.predictions]
-            else:
-                predictions, dispatch = node.execute_group(
-                    model_id,
-                    [(e[_E_IMAGES], e[_E_DIGEST]) for e in group],
-                )
-        except Exception as error:
-            for e in group:
-                self._failed[e[_E_RID]] = error
-            self._rebuild_reservation(node_id)
-            self._push_head_candidate(node_id)
-            raise
-        finish = start + dispatch.compute_s
-        self._completed[node_id] = finish
-        if finish > self.clock:
-            self.clock = finish
-        self._rebuild_reservation(node_id)
-        self._push_head_candidate(node_id)
-
-        total = 0
-        for e in group:
-            total += e[_E_COUNT]
-        coalesced = len(group)
-        telemetry = self.telemetry
-        ntel = node.telemetry
-        retain = self.retain_results
-        rids: List[int] = []
-        for e, request_predictions in zip(group, predictions):
-            rid = e[_E_RID]
-            count = e[_E_COUNT]
-            if coalesced == 1:
-                compute_share = dispatch.compute_s
-                energy_share = dispatch.energy_j
-            else:
-                fraction = count / total
-                compute_share = dispatch.compute_s * fraction
-                energy_share = dispatch.energy_j * fraction
-            arrival = e[_E_ARRIVAL]
-            deadline = e[_E_DEADLINE]
-            latency = finish - arrival
-            missed = deadline is not None and latency > deadline
-            index = telemetry.record_row(
-                (
-                    rid, model_id, node_id, e[_E_SLA].value, count, arrival,
-                    start, finish, compute_share, deadline, missed,
-                    dispatch.affinity_hit, dispatch.programmed,
-                    e[_E_FEASIBLE], dispatch.execution_mode, coalesced,
-                    dispatch.spot_checked, rid in self._replayed,
-                ),
-                energy_share,
-            )
-            ntel.dispatches += 1
-            ntel.images += count
-            ntel.energy_j += energy_share
-            ntel.busy_s += compute_share
-            if missed:
-                ntel.deadline_misses += 1
-            if dispatch.affinity_hit:
-                ntel.affinity_hits += 1
-            if dispatch.programmed:
-                ntel.programmed_dispatches += 1
-            sample = compute_share / count
-            if ntel.dispatches == 1:
-                ntel.ewma_image_latency_s = sample
-            else:
-                ntel.ewma_image_latency_s += ntel.ewma_alpha * (
-                    sample - ntel.ewma_image_latency_s
-                )
-            if retain:
-                self._pending_results[rid] = (index, e[_E_SLA], request_predictions)
-            rids.append(rid)
-        self._completed_count += coalesced
-        return rids
-
-    # ------------------------------------------------------------------ #
-    # Results
-    # ------------------------------------------------------------------ #
-    def _materialize(self, rid: int):
-        result = self._results.get(rid)
-        if result is not None:
-            return result
-        pending = self._pending_results.pop(rid, None)
-        if pending is None:
-            return None
-        index, sla, predictions = pending
-        trace = self.telemetry.traces[index]
-        result = self._result_cls(trace=trace, sla=sla, predictions=predictions)
-        self._results[rid] = result
-        return result
-
-    def dispatch_next(self):
-        if not self.retain_results:
-            raise ConfigurationError(
-                "dispatch_next() needs per-request results; this router was "
-                "built with retain_results=False (use drain() and the "
-                "telemetry aggregates)"
-            )
-        rids = self._dispatch_group()
-        if not rids:
-            return None
-        return self._materialize(rids[0])
-
-    def drain(self) -> List[object]:
-        completed: List[int] = []
-        retain = self.retain_results
-        while True:
-            rids = self._dispatch_group()
-            if not rids:
-                break
-            if retain:
-                completed.extend(rids)
-        if not retain:
-            return []
-        self.flush_all()
-        return [self._materialize(rid) for rid in completed]
+        The router's own :meth:`~repro.cluster.router.ClusterRouter.submit`;
+        kept as the kernel's entry so fallback admissions are countable.
+        """
+        return self.router.submit(model_id, images, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Batch trace replay (the turbo path)
@@ -1754,21 +976,21 @@ class EventKernel:
     def replay_trace(
         self, trace, image_pool, drain_every: int = 64, autoscaler=None
     ) -> Dict[str, float]:
-        """Stream a workload trace through the kernel in arrival order.
+        """Stream a workload trace through the router in arrival order.
 
         Observable behaviour is identical to
-        :func:`repro.cluster.workload.replay` over this kernel — same
+        :func:`repro.cluster.workload.replay` over the router — same
         round-robin pool slots, same admission order, same drain cadence,
         same autoscaler observation points — but each ``drain_every`` chunk
         whose steady-state preconditions hold (stock scheduler, no
         coalescing, ``retain_results=False``, every chunk model warm and
         resident on every active node, all pool digests memoised, no fault
-        due inside the chunk's horizon, no autoscaler) runs a specialised
-        batch admission+dispatch loop: array-backed reservation and
-        completion chains, one telemetry append and one memo/ledger
-        write-back per chunk instead of per request.  Chunks that fail a
-        precondition fall back to the per-request submit/drain loop, which
-        *is* the oracle path, so mixing chunks preserves bit-exactness.
+        due inside the chunk's horizon, no autoscaler) runs as a turbo
+        chunk: array-backed reservation and completion chains, one
+        telemetry append and one memo/ledger write-back per chunk instead
+        of per request.  Chunks that fail a precondition take the router's
+        per-request submit/drain loop, so mixing chunks preserves
+        bit-exactness.
         """
         import time
 
@@ -1789,7 +1011,8 @@ class EventKernel:
         model_ids = trace.model_ids
         slot_cursor: Dict[Tuple[str, int], int] = {}
         requests = len(arr)
-        completed_before = self._completed_count
+        router = self.router
+        completed_before = router._completed_count
         turbo_ok = autoscaler is None
         start_wall = time.perf_counter()
         pos = 0
@@ -1825,16 +1048,14 @@ class EventKernel:
                     # Observe *before* draining, exactly like replay().
                     if autoscaler is not None:
                         autoscaler.observe()
-                    self.drain()
-                    telemetry = self.telemetry
-                    if type(telemetry) is ColumnarTelemetry:
-                        telemetry.maybe_fold()
+                    router.drain()
+                    router.telemetry.maybe_fold()
             pos = end
         if autoscaler is not None:
             autoscaler.observe()
-        self.drain()
+        router.drain()
         wall_s = time.perf_counter() - start_wall
-        completed = self._completed_count - completed_before
+        completed = router._completed_count - completed_before
         images_total = float(trace.total_images)
         return {
             "requests": float(requests),
@@ -1888,21 +1109,22 @@ class EventKernel:
         self, arr, cnt, mi, pos, end, model_ids, image_pool, slot_cursor
     ):
         """Validate one chunk's turbo preconditions; returns the prepared
-        per-chunk context, or ``None`` to take the oracle path."""
+        per-chunk context, or ``None`` to take the per-request loop."""
+        router = self.router
         if (
-            self.retain_results
-            or not self._fast_sched
-            or self.coalesce
-            or self.scheduler.coalesce_affinity
-            or type(self.telemetry) is not ColumnarTelemetry
+            router.retain_results
+            or type(router.scheduler) is not SLAScheduler
+            or router.coalesce
+            or router.scheduler.coalesce_affinity
+            or type(router.telemetry) is not ColumnarTelemetry
         ):
             return None
-        if self._stranded or self._queued or arr[pos] < 0:
+        if router._stranded or router._queued_requests or arr[pos] < 0:
             return None
-        self._sync_states()
-        if self._queued:
+        router._sync_states()
+        if router._queued_requests:
             return None
-        active = [n for n in self.nodes if n.state is NodeState.ACTIVE]
+        active = [n for n in router.nodes if n.state is NodeState.ACTIVE]
         if not active:
             return None
         ncs = []
@@ -1910,7 +1132,7 @@ class EventKernel:
             if node.execution_mode is not ExecutionMode.ANALYTIC:
                 return None
             ncs.append(self._node_cache(node))
-        hw = self.scheduler.hazard_weight
+        hw = router.scheduler.hazard_weight
         risk = [1.0 + hw * nc.hazard for nc in ncs]
         hazard = [nc.hazard for nc in ncs]
         node_ids = [n.node_id for n in active]
@@ -1965,18 +1187,18 @@ class EventKernel:
                 slices, batches, keys, slots, len(slots),
                 slot_cursor.get(ck, 0), key_base, count,
             ]
-        if self._fault_cursor < len(self._fault_events):
+        if router._fault_cursor < len(router._fault_events):
             # Conservative horizon: the chunk's virtual time cannot pass
             # base + chunk_len * max_step, so a fault strictly beyond it
             # can never become due inside the chunk (on either path).
             base = arr[end - 1]
-            if self.clock > base:
-                base = self.clock
-            for value in self._completed.values():
+            if router.clock_s > base:
+                base = router.clock_s
+            for value in router._completed_s.values():
                 if value > base:
                     base = value
             bound = base + (end - pos) * max_step
-            if self._fault_events[self._fault_cursor].at_s <= bound:
+            if router._fault_events[router._fault_cursor].at_s <= bound:
                 return None
         # One combo reference per request: an int-keyed lookup when the
         # chunk is single-model (the common replay shape), the full
@@ -1991,28 +1213,30 @@ class EventKernel:
     def _turbo_chunk(self, ctx, arr, si, dl, pos, end, slot_cursor):
         """One chunk of batch admission + per-node dispatch passes.
 
-        Replicates `_choose_fast` -> `_enqueue` -> `_select_head` ->
-        `_dispatch_fast` value- and order-identically for the steady state
-        the context validated.  Admission walks the chunk once with the
-        same ranking keys, float op order and first-minimum tie-breaks as
-        `_choose_fast`.  Dispatch then runs one tight FIFO pass per node —
-        each node's start/finish chain depends only on its own queue, not
-        on the cross-node interleave — and recovers the heap's exact
+        Replicates the router's ``SLAScheduler.choose`` -> ``_enqueue`` ->
+        ``_select_head`` -> ``node.execute`` value- and order-identically
+        for the steady state the context validated.  Admission walks the
+        chunk once with the same ranking keys, float op order and
+        first-minimum tie-breaks as ``SLAScheduler.choose``.  Dispatch
+        then runs one tight FIFO pass per node — each node's start/finish
+        chain depends only on its own queue, not on the cross-node
+        interleave — and recovers the heap's exact
         merged order, min ``(max(completed, arrival), node_id)``, with a
         stable lexsort over the per-node start times.  Telemetry rows,
         charge-buffer events, memo counters/LRU order and node aggregates
         are written back once per chunk.
         """
         active, node_ids, combos, creq, risk, hazard, key_table = ctx
+        router = self.router
         nn = len(active)
         avail = [node.available_s for node in active]
-        completed = self._completed
+        completed = router._completed_s
         comp = [completed[nid] for nid in node_ids]
         pend: List[list] = [[] for _ in range(nn)]
         appends = [p.append for p in pend]
-        rid = self._next_rid
+        rid = router._next_request_id
         bk0 = bk1 = bk2 = bfin = None
-        # --- admission: _choose_fast over the chunk's table constants --- #
+        # --- admission: the scheduler's ranking over the chunk's table --- #
         for a, s, d, combo in zip(arr[pos:end], si[pos:end], dl[pos:end],
                                   creq):
             if s == 1:  # THROUGHPUT
@@ -2101,11 +1325,11 @@ class EventKernel:
         for combo in combos.values():
             slot_cursor[combo[1]] = combo[12]
         # --- dispatch: one FIFO pass per node --------------------------- #
-        telemetry = self.telemetry
+        telemetry = router.telemetry
         buffers = self._buffers
         n = end - pos
         sla_values = _SLA_VALUES
-        mxfin = self.clock
+        mxfin = router.clock_s
         rank = sorted(range(nn), key=node_ids.__getitem__)
         order_of = [0] * nn
         for r, j in enumerate(rank):
@@ -2227,7 +1451,6 @@ class EventKernel:
             buf2 = buffers[node_ids[j]]
             buf2.row_indexes.extend((inv[ofs:ofs + k] + base).tolist())
             buf2.ordinals.extend(range(ord0s[j], ord0s[j] + k))
-            buf2.fractions.extend(repeat(None, k))
         # Memo hit counters and LRU order: one pass per distinct memo,
         # touching each *key* once (in last-touch order) instead of once
         # per dispatch.
@@ -2266,65 +1489,7 @@ class EventKernel:
             for kid in ordered.tolist():
                 move(key_table[kid])
         last_arrival = arr[end - 1]
-        self.clock = mxfin if mxfin > last_arrival else last_arrival
-        self._completed_count += n
-        self._next_rid = rid
+        router.clock_s = mxfin if mxfin > last_arrival else last_arrival
+        router._completed_count += n
+        router._next_request_id = rid
         telemetry.maybe_fold()
-
-    def result(self, request_id: int):
-        if request_id in self._failed:
-            raise self._failed[request_id]
-        if not self.retain_results:
-            raise ConfigurationError(
-                "results are not retained (retain_results=False)"
-            )
-        result = self._materialize(request_id)
-        if result is None:
-            raise ConfigurationError(
-                f"request {request_id} is not complete; call drain()"
-            )
-        return result
-
-    def decision(self, request_id: int) -> PlacementDecision:
-        if not self.retain_results:
-            raise ConfigurationError(
-                "decision() needs per-request placements; this router was "
-                "built with retain_results=False (use the telemetry "
-                "aggregates)"
-            )
-        d = self._decisions.get(request_id)
-        if d is None:
-            raise ConfigurationError(f"unknown request {request_id}")
-        return PlacementDecision(
-            request_id=request_id,
-            node_id=d[0],
-            sla=d[1],
-            feasible=d[2],
-            affinity_hit=d[3],
-            replicated=d[4],
-            est_start_s=d[5],
-            est_finish_s=d[6],
-            est_latency_s=d[7],
-            est_energy_per_image_j=d[8],
-            candidates=d[9],
-        )
-
-    # ------------------------------------------------------------------ #
-    # Counters
-    # ------------------------------------------------------------------ #
-    @property
-    def completed_requests(self) -> int:
-        return self._completed_count
-
-    @property
-    def failed_requests(self) -> int:
-        return len(self._failed)
-
-    @property
-    def replayed_requests(self) -> int:
-        return len(self._replayed)
-
-    def shutdown(self) -> None:
-        self.flush_all()
-        for node in self.nodes:
-            node.shutdown()

@@ -30,6 +30,12 @@ machinery parking uses (flagged ``replayed`` in their traces), and even a
 whole-fleet outage only strands admissions until a scripted recovery —
 request conservation holds across any crash window.
 
+This is the only per-request serving loop.  ``kernel="columnar"`` runs it
+too, and adds the :class:`~repro.cluster.kernel.EventKernel` accelerator
+around it: ``replay_trace`` chunks in steady state are replayed in batch
+("turbo" chunks) with their engine charges deferred per node, and the loop
+flushes a node's deferred charges before it next executes on that node.
+
 The dispatch loop is built for million-request traces: head selection runs
 on a lazily invalidated heap of per-node earliest-start candidates,
 "which nodes hold queued work of model X" comes from incrementally
@@ -44,6 +50,7 @@ machinery), completing together with cost attributed by image share.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -116,9 +123,6 @@ class ClusterRouter:
         metrics: Optional["MetricsRegistry"] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
-        #: Set first: ``clock_s``/``replayed_placements`` are properties that
-        #: consult the delegate, and __init__ assigns through them below.
-        self._impl = None
         nodes = list(nodes)
         if not nodes:
             raise ConfigurationError("a cluster needs at least one node")
@@ -135,6 +139,9 @@ class ClusterRouter:
                 "router always materializes results)"
             )
         self.kernel = kernel
+        #: False keeps no per-request results or placements (drain returns
+        #: []); counters and telemetry stay exact.  The flat-memory mode.
+        self.retain_results = retain_results
         if kernel == "columnar":
             from repro.cluster.kernel import ColumnarTelemetry
 
@@ -168,9 +175,9 @@ class ClusterRouter:
         #: replay); ids, since one request can strand more than once.
         self._replayed: Set[int] = set()
         #: Total re-placements performed (the replay-overhead numerator).
-        self._replayed_placements = 0
+        self.replayed_placements = 0
         #: Virtual clock: the latest arrival or completion seen so far.
-        self._clock_s = 0.0
+        self.clock_s = 0.0
         self._queues: Dict[str, Deque[Tuple[ClusterRequest, PlacementDecision]]] = {
             node.node_id: deque() for node in nodes
         }
@@ -179,6 +186,8 @@ class ClusterRouter:
         self._results: Dict[int, ClusterResult] = {}
         self._failed: Dict[int, BaseException] = {}
         self._decisions: Dict[int, PlacementDecision] = {}
+        #: Requests that produced a result (retained or not).
+        self._completed_count = 0
         self._next_request_id = 0
         # Dispatch-order machinery.  The heap holds (earliest start, node)
         # candidates, lazily invalidated: a popped entry is re-validated
@@ -195,12 +204,13 @@ class ClusterRouter:
         #: Parked nodes whose backlog could not be re-placed (no active
         #: capacity); re-tried when any node wakes.
         self._stranded: Set[str] = set()
+        #: The columnar accelerator: turbo replay chunks and their deferred
+        #: per-node charges (None on the object kernel).
+        self._impl = None
         if kernel == "columnar":
             from repro.cluster.kernel import EventKernel
 
-            #: The columnar delegate owns the whole serving loop from here
-            #: on; the object-path state above stays untouched (and unused).
-            self._impl = EventKernel(self, retain_results=retain_results)
+            self._impl = EventKernel(self)
         #: Observability bridge (repro.cluster.instrumentation); ``None``
         #: keeps every hot path exactly as fast as an uninstrumented build.
         self._obs = None
@@ -209,31 +219,6 @@ class ClusterRouter:
             from repro.cluster.instrumentation import attach_cluster_observability
 
             attach_cluster_observability(self, metrics, tracer=tracer)
-
-    # ------------------------------------------------------------------ #
-    # Kernel delegation
-    # ------------------------------------------------------------------ #
-    @property
-    def clock_s(self) -> float:
-        """Virtual clock: the latest arrival or completion seen so far."""
-        if self._impl is not None:
-            return self._impl.clock
-        return self._clock_s
-
-    @clock_s.setter
-    def clock_s(self, value: float) -> None:
-        """Advance the virtual clock (delegates to the active kernel)."""
-        if self._impl is not None:
-            self._impl.clock = value
-        else:
-            self._clock_s = value
-
-    @property
-    def replayed_placements(self) -> int:
-        """Total re-placements performed (the replay-overhead numerator)."""
-        if self._impl is not None:
-            return self._impl.replayed_placements
-        return self._replayed_placements
 
     # ------------------------------------------------------------------ #
     # Fleet management
@@ -256,8 +241,6 @@ class ClusterRouter:
 
     def queue_depth(self, node_id: Optional[str] = None) -> int:
         """Queued (admitted, not yet executed) requests."""
-        if self._impl is not None:
-            return self._impl.queue_depth(node_id)
         if node_id is not None:
             return len(self._queues[node_id])
         return self._queued_requests
@@ -265,22 +248,16 @@ class ClusterRouter:
     @property
     def completed_requests(self) -> int:
         """Requests that produced a result (the conservation numerator)."""
-        if self._impl is not None:
-            return self._impl.completed_requests
-        return len(self._results)
+        return self._completed_count
 
     @property
     def failed_requests(self) -> int:
         """Requests whose dispatch raised (re-raised by :meth:`result`)."""
-        if self._impl is not None:
-            return self._impl.failed_requests
         return len(self._failed)
 
     @property
     def replayed_requests(self) -> int:
         """Distinct requests re-placed after admission (crash/park replay)."""
-        if self._impl is not None:
-            return self._impl.replayed_requests
         return len(self._replayed)
 
     # ------------------------------------------------------------------ #
@@ -423,26 +400,30 @@ class ClusterRouter:
         Returns:
             The request id to pass to :meth:`result`.
         """
-        if self._impl is not None:
-            return self._impl.submit(
-                model_id,
-                images,
-                sla=sla,
-                deadline_s=deadline_s,
-                arrival_s=arrival_s,
-                input_digest=input_digest,
-            )
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[0] == 0:
             raise ConfigurationError(
                 "expected a non-empty (batch, channels, height, width) array"
             )
+        # Everything dispatch reads is validated here, before the request
+        # is admitted: a value that fails later would strand it in no
+        # conservation counter.
+        if not isinstance(sla, SLAClass):
+            raise ConfigurationError(f"sla must be an SLAClass, got {sla!r}")
         if sla is SLAClass.LATENCY:
             if deadline_s is None or deadline_s <= 0:
                 raise ConfigurationError(
                     "latency-class requests need a positive deadline_s"
                 )
+        if deadline_s is not None and not (
+            math.isfinite(deadline_s) and deadline_s > 0
+        ):
+            raise ConfigurationError(
+                f"deadline_s must be finite and positive, got {deadline_s!r}"
+            )
         arrival = self.clock_s if arrival_s is None else float(arrival_s)
+        if not math.isfinite(arrival):
+            raise ConfigurationError(f"arrival_s must be finite, got {arrival!r}")
         if arrival < 0:
             raise ConfigurationError("arrival_s must be non-negative")
         if arrival > self.clock_s:
@@ -491,8 +472,13 @@ class ClusterRouter:
         # request's modeled span.
         node.available_s = decision.est_finish_s
         self._enqueue(node.node_id, request, decision)
-        self._decisions[request.request_id] = decision
+        self._record_decision(decision)
         return request.request_id
+
+    def _record_decision(self, decision: PlacementDecision) -> None:
+        """Keep a request's latest placement (when results are retained)."""
+        if self.retain_results:
+            self._decisions[decision.request_id] = decision
 
     def _strand_admission(self, request: ClusterRequest) -> PlacementDecision:
         """Queue a request admitted while the whole fleet is down."""
@@ -511,7 +497,7 @@ class ClusterRouter:
             candidates=0,
         )
         self._enqueue(node.node_id, request, decision)
-        self._decisions[request.request_id] = decision
+        self._record_decision(decision)
         self._stranded.add(node.node_id)
         return decision
 
@@ -622,9 +608,9 @@ class ClusterRouter:
             target = self._by_id[decision.node_id]
             target.available_s = decision.est_finish_s
             self._enqueue(target.node_id, request, decision)
-            self._decisions[request.request_id] = decision
+            self._record_decision(decision)
             self._replayed.add(request.request_id)
-            self._replayed_placements += 1
+            self.replayed_placements += 1
         self._stranded.discard(node_id)
 
     def _select_head(self) -> Optional[Tuple[str, float]]:
@@ -701,11 +687,18 @@ class ClusterRouter:
         node = self._by_id[node_id]
         group = self._gather_group(node, start)
 
+        # The columnar telemetry emits the spans of sampled requests when it
+        # folds its rows; emitting here too would trace them twice.
+        tracer = self.tracer if self._impl is None else None
         span_attrs = None
-        if self.tracer is not None and any(
-            self.tracer.should_sample(request.request_id) for request, _ in group
+        if tracer is not None and any(
+            tracer.should_sample(request.request_id) for request, _ in group
         ):
             span_attrs = {}
+        if self._impl is not None:
+            # Turbo chunks defer this node's engine charges; they land
+            # first so its ledgers keep chronological order.
+            self._impl.flush_node(node_id)
         try:
             if len(group) == 1:
                 request = group[0][0]
@@ -762,10 +755,8 @@ class ClusterRouter:
             latency = finish - request.arrival_s
             missed = request.deadline_s is not None and latency > request.deadline_s
             span_id = None
-            if self.tracer is not None and self.tracer.should_sample(
-                request.request_id
-            ):
-                span_id = self.tracer.emit_request(
+            if tracer is not None and tracer.should_sample(request.request_id):
+                span_id = tracer.emit_request(
                     request.request_id,
                     node_id,
                     request.arrival_s,
@@ -802,8 +793,10 @@ class ClusterRouter:
             result = ClusterResult(
                 trace=trace, sla=request.sla, predictions=request_predictions
             )
-            self._results[request.request_id] = result
+            if self.retain_results:
+                self._results[request.request_id] = result
             results.append(result)
+        self._completed_count += coalesced
         return results
 
     def dispatch_next(self) -> Optional[ClusterResult]:
@@ -820,8 +813,12 @@ class ClusterRouter:
             The head :class:`ClusterResult`, or ``None`` when nothing is
             dispatchable.
         """
-        if self._impl is not None:
-            return self._impl.dispatch_next()
+        if not self.retain_results:
+            raise ConfigurationError(
+                "dispatch_next() needs per-request results; this router was "
+                "built with retain_results=False (use drain() and the "
+                "telemetry aggregates)"
+            )
         results = self._dispatch_group()
         return results[0] if results else None
 
@@ -830,18 +827,17 @@ class ClusterRouter:
 
         Returns:
             Every :class:`ClusterResult` completed by this call, in
-            completion order.
+            completion order (``[]`` with ``retain_results=False``).
         """
         if self._obs is not None:
             self._obs.drains.inc()
-        if self._impl is not None:
-            return self._impl.drain()
         completed: List[ClusterResult] = []
         while True:
             results = self._dispatch_group()
             if not results:
                 return completed
-            completed.extend(results)
+            if self.retain_results:
+                completed.extend(results)
 
     def replay_trace(
         self, trace, image_pool, drain_every: int = 64, autoscaler=None
@@ -851,9 +847,9 @@ class ClusterRouter:
         Same observable behaviour as :func:`repro.cluster.workload.replay`
         (same pool-slot rotation, drain cadence and autoscaler observation
         points).  On the columnar kernel, steady-state chunks run the
-        kernel's batch admission+dispatch loop — the fast way to replay
-        multi-million-request traces; the object kernel takes the
-        per-request loop (it *is* the oracle).
+        kernel's turbo batch admission+dispatch — the fast way to replay
+        multi-million-request traces — and every other chunk takes this
+        router's per-request loop, as the object kernel does throughout.
         """
         if self._impl is not None:
             return self._impl.replay_trace(
@@ -873,10 +869,12 @@ class ClusterRouter:
         Re-raises the original execution failure if the request's dispatch
         failed, and raises :class:`ConfigurationError` while it is queued.
         """
-        if self._impl is not None:
-            return self._impl.result(request_id)
         if request_id in self._failed:
             raise self._failed[request_id]
+        if not self.retain_results:
+            raise ConfigurationError(
+                "results are not retained (retain_results=False)"
+            )
         if request_id not in self._results:
             raise ConfigurationError(
                 f"request {request_id} is not complete; call drain()"
@@ -885,8 +883,12 @@ class ClusterRouter:
 
     def decision(self, request_id: int) -> PlacementDecision:
         """The admission-time placement decision of a request."""
-        if self._impl is not None:
-            return self._impl.decision(request_id)
+        if not self.retain_results:
+            raise ConfigurationError(
+                "decision() needs per-request placements; this router was "
+                "built with retain_results=False (use the telemetry "
+                "aggregates)"
+            )
         if request_id not in self._decisions:
             raise ConfigurationError(f"unknown request {request_id}")
         return self._decisions[request_id]
@@ -896,9 +898,7 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
         """Stop every node's server workers (idempotent)."""
-        if self._impl is not None:
-            self._impl.shutdown()
-            return
+        self._flush_deferred()
         for node in self.nodes:
             node.shutdown()
 
@@ -911,10 +911,14 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
     # Accounting
     # ------------------------------------------------------------------ #
-    def ledger(self) -> MacroStatistics:
-        """Cluster-level ledger: the merge of every node's lifetime ledger."""
+    def _flush_deferred(self) -> None:
+        """Apply the columnar kernel's deferred turbo charges, if any."""
         if self._impl is not None:
             self._impl.flush_all()
+
+    def ledger(self) -> MacroStatistics:
+        """Cluster-level ledger: the merge of every node's lifetime ledger."""
+        self._flush_deferred()
         merged = MacroStatistics()
         for node in self.nodes:
             merged.merge(node.ledger())
@@ -922,8 +926,7 @@ class ClusterRouter:
 
     def summary(self) -> Dict[str, object]:
         """Fleet-wide report: telemetry aggregates plus per-node summaries."""
-        if self._impl is not None:
-            self._impl.flush_all()
+        self._flush_deferred()
         return {
             "clock_s": self.clock_s,
             "queue_depth": float(self.queue_depth()),

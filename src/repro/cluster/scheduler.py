@@ -153,8 +153,9 @@ class SLAScheduler:
         counters (see ``docs/OBSERVABILITY.md``).  Per-placement series
         deliberately live on the fold side
         (``cluster_requests_total{sla, node}``) rather than here: the
-        columnar kernel inlines :meth:`choose`, so scheduler-side
-        counters would undercount on the fast path.
+        router's per-request loop calls :meth:`choose` on both kernels,
+        but the columnar kernel's turbo chunks place requests without
+        it, so scheduler-side counters would undercount those.
         """
         return {
             "hot_threshold": float(self.hot_threshold),

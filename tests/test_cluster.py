@@ -387,6 +387,38 @@ class TestRouterAccounting:
             assert result.compute_s > 0
             assert result.finish_s >= result.start_s >= result.arrival_s
 
+    @pytest.mark.parametrize("kernel", ["object", "columnar"])
+    def test_malformed_admissions_are_refused(self, trained, kernel):
+        """A string SLA, a non-finite arrival or a non-finite / non-positive
+        deadline is refused at submit: nothing is admitted that drain()
+        could later lose, and the conservation counters do not move."""
+        dataset, model_a, _ = trained
+        router = _router({"a": model_a}, vdds=(1.0,), kernel=kernel)
+        images = dataset.test_images[:2]
+        nan, inf = float("nan"), float("inf")
+        malformed = [
+            dict(sla="throughput"),
+            dict(sla=SLAClass.BEST_EFFORT, arrival_s=nan),
+            dict(sla=SLAClass.BEST_EFFORT, arrival_s=inf),
+            dict(sla=SLAClass.LATENCY, deadline_s=nan),
+            dict(sla=SLAClass.LATENCY, deadline_s=inf),
+            dict(sla=SLAClass.THROUGHPUT, deadline_s=0.0),
+            dict(sla=SLAClass.BEST_EFFORT, deadline_s=-1.0),
+        ]
+        for kwargs in malformed:
+            with pytest.raises(ConfigurationError):
+                router.submit("a", images, **kwargs)
+            counters = (
+                router.completed_requests,
+                router.failed_requests,
+                router.queue_depth(),
+            )
+            assert counters == (0, 0, 0), kwargs
+            assert router.clock_s == 0.0
+        assert router.submit("a", images, sla=SLAClass.THROUGHPUT) == 0
+        assert len(router.drain()) == 1
+        assert router.result(0).sla is SLAClass.THROUGHPUT
+
     def test_cluster_ledger_equals_sum_of_node_ledgers(self, trained):
         dataset, model_a, model_b = trained
         router = _router({"a": model_a, "b": model_b}, vdds=(1.0, 0.6, 0.6))

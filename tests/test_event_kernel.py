@@ -1,10 +1,22 @@
-"""Differential-oracle suite: the columnar event kernel vs the object router.
+"""Differential suite: the columnar kernel's accelerators vs the one loop.
 
-The columnar :class:`repro.cluster.EventKernel` re-implements the router's
-discrete-event simulation over columnar ledgers; the object router is the
-oracle.  Every test here replays one randomized workload through both
-kernels — same nodes, same scheduler, same fault plan, same drain cadence
-— and requires the *entire* observable state to match bit for bit:
+``ClusterRouter`` runs a single per-request serving loop on both kernels.
+``kernel="columnar"`` adds two accelerators on top of it, and this suite
+checks each against the plain ``kernel="object"`` router as the oracle:
+
+* **turbo chunks vs the per-request loop** — steady-state
+  ``replay_trace`` chunks replayed in batch by
+  :class:`repro.cluster.EventKernel`, their engine charges deferred and
+  folded at flush time (``TestTurboDifferential``; chunks that cannot
+  take the turbo path fall back to the loop mid-replay);
+* **ColumnarTelemetry vs ClusterTelemetry** — the columnar trace log and
+  its aggregates (``TestDifferentialOracle``, ``TestFaultDifferential``:
+  the per-request loop, recorded into both telemetry kinds), plus span
+  emission: exactly one span tree per sampled request on either kernel.
+
+Every comparison replays one randomized workload through both kernels —
+same nodes, same scheduler, same fault plan, same drain cadence — and
+requires the *entire* observable state to match bit for bit:
 
 * the merged cluster ledger and every per-node ledger,
 * the per-request trace rows (ids, placements, virtual times, energies,
@@ -12,7 +24,7 @@ kernels — same nodes, same scheduler, same fault plan, same drain cadence
 * the deadline-miss set,
 * request conservation (``completed == admitted``, no loss under faults),
 * node telemetry, spot-check counters and the shared forward-memo state
-  (hits, misses and LRU order — the kernel batches its LRU writes).
+  (hits, misses and LRU order — turbo chunks batch their LRU writes).
 
 Hypothesis drives the workload space (poisson / diurnal / burst arrival
 processes, SLA mixes, binned fleets, fault plans, coalescing on and off,
@@ -20,6 +32,8 @@ EXACT and ANALYTIC modes); the shared ``ci`` profile in ``conftest.py``
 keeps CI runs derandomized and bounded, ``REPRO_HYPOTHESIS_PROFILE=nightly``
 widens the sweep.  The heavyweight cases carry ``@pytest.mark.slow`` — the
 per-PR CI matrix deselects them, tier-1 and the nightly tier run them.
+``tests/test_cluster_golden.py`` pins the same observables to a recorded
+corpus on both kernels.
 """
 
 import dataclasses
@@ -42,6 +56,7 @@ from repro.cluster import (
     poisson_trace,
 )
 from repro.dnn.pipeline import make_pattern_image_dataset, train_pattern_cnn
+from repro.obs import MetricsRegistry, Tracer
 from repro.reliability import ChipBinner, FaultEvent, FaultKind, FaultPlan
 from repro.utils.validation import check_ledger_conservation
 
@@ -215,7 +230,8 @@ sla_mixes = st.sampled_from([
 
 
 class TestDifferentialOracle:
-    """Randomized object-vs-columnar equivalence on the per-request path."""
+    """The per-request loop recorded into ColumnarTelemetry vs
+    ClusterTelemetry: rows, aggregates and ledgers match bit for bit."""
 
     @given(
         kind=st.sampled_from(["poisson", "diurnal", "burst"]),
@@ -269,7 +285,8 @@ class TestDifferentialOracle:
 
 
 class TestFaultDifferential:
-    """Fault plans (crash / degrade / stall + replay) across both kernels."""
+    """Fault plans (crash / degrade / stall + replay) across both kernels:
+    replayed requests land in both telemetry logs identically."""
 
     @given(
         fault=st.sampled_from(["crash", "degrade", "mixed"]),
@@ -300,10 +317,10 @@ class TestFaultDifferential:
 
 @pytest.mark.slow
 class TestTurboDifferential:
-    """The steady-state turbo batch path vs the oracle at depth.
+    """Turbo chunks vs the per-request loop at depth.
 
-    Warm memoised fleets with spot checks on, thousands of requests,
-    drain chunks large enough that the columnar side takes its batch
+    Warm memoised fleets with spot checks on, hundreds of requests,
+    drain chunks large enough that the columnar side takes its turbo
     admission/dispatch/flush path — the configuration the throughput
     benchmark measures.
     """
@@ -337,8 +354,8 @@ class TestTurboDifferential:
         _assert_identical(reference, columnar)
 
     def test_turbo_matches_oracle_with_faults_mid_trace(self, trained, pool):
-        """Fault horizons force per-chunk fallback; mixing turbo and oracle
-        chunks in one replay must stay bit-exact."""
+        """Fault horizons force per-chunk fallback; mixing turbo chunks and
+        per-request chunks in one replay must stay bit-exact."""
         _, cnn = trained
         trace = _make_trace(
             "diurnal", 800, 1e-3,
@@ -355,3 +372,62 @@ class TestTurboDifferential:
         )
         assert columnar["replayed_set"] == reference["replayed_set"]
         _assert_identical(reference, columnar)
+
+
+class TestSpanEmission:
+    """The per-request loop emits spans inline on the object kernel; the
+    columnar telemetry emits them when it folds its rows (turbo and
+    per-request rows alike).  Neither may trace a request twice."""
+
+    @pytest.mark.parametrize("kernel", ["object", "columnar"])
+    def test_one_span_tree_per_sampled_request(
+        self, trained, pool, kernel, monkeypatch
+    ):
+        _, cnn = trained
+        trace = _make_trace(
+            "poisson", 256, None, {"throughput": 0.5, "best_effort": 0.5}, 5
+        )
+        memo = ForwardMemo()
+        nodes = [
+            ClusterNode(
+                f"n{index}", vdd=vdd, num_macros=NUM_MACROS,
+                max_batch_size=max(IMAGE_COUNTS),
+                execution_mode=ExecutionMode.ANALYTIC, forward_memo=memo,
+            )
+            for index, vdd in enumerate((1.0, 0.6))
+        ]
+        tracer = Tracer(sample_every=4)
+        columnar = kernel == "columnar"
+        router = ClusterRouter(
+            nodes,
+            # A mid-trace degrade window forces the chunks around it onto
+            # the per-request loop; the rest run as turbo chunks.
+            fault_plan=_fault_plan("degrade", trace.duration_s),
+            kernel=kernel,
+            telemetry=ColumnarTelemetry(retain_traces=False) if columnar else None,
+            retain_results=not columnar,
+            metrics=MetricsRegistry(),
+            tracer=tracer,
+        )
+        router.register_model("cnn", cnn)
+        for node in nodes:
+            for slots in pool.values():
+                for digest, images in slots:
+                    node.execute("cnn", images, input_digest=digest)
+        fallback = []
+        if columnar:
+            submit = router._impl.submit
+            monkeypatch.setattr(
+                router._impl, "submit",
+                lambda *args, **kwargs: fallback.append(1) or submit(*args, **kwargs),
+            )
+        try:
+            # Warm-up dispatches bypass the router: its ids run 0..len-1.
+            router.replay_trace(trace, pool, drain_every=32)
+            router.summary()  # a router-level read folds every row
+        finally:
+            router.shutdown()
+        if columnar:
+            assert 0 < len(fallback) < len(trace)
+        roots = [span.trace_id for span in tracer.spans if span.name == "admission"]
+        assert sorted(roots) == list(range(0, len(trace), 4))
