@@ -687,18 +687,19 @@ class ClusterRouter:
         node = self._by_id[node_id]
         group = self._gather_group(node, start)
 
-        # The columnar telemetry emits the spans of sampled requests when it
-        # folds its rows; emitting here too would trace them twice.
-        tracer = self.tracer if self._impl is None else None
+        tracer = self.tracer
+        if self._impl is not None:
+            # Turbo chunks defer this node's engine charges; they land
+            # first so its ledgers keep chronological order.  The columnar
+            # telemetry emits sampled spans when it folds its rows, so
+            # emitting here too would trace them twice.
+            self._impl.flush_node(node_id)
+            tracer = None
         span_attrs = None
         if tracer is not None and any(
             tracer.should_sample(request.request_id) for request, _ in group
         ):
             span_attrs = {}
-        if self._impl is not None:
-            # Turbo chunks defer this node's engine charges; they land
-            # first so its ledgers keep chronological order.
-            self._impl.flush_node(node_id)
         try:
             if len(group) == 1:
                 request = group[0][0]

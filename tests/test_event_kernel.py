@@ -417,10 +417,12 @@ class TestSpanEmission:
         fallback = []
         if columnar:
             submit = router._impl.submit
-            monkeypatch.setattr(
-                router._impl, "submit",
-                lambda *args, **kwargs: fallback.append(1) or submit(*args, **kwargs),
-            )
+
+            def counting_submit(*args, **kwargs):
+                fallback.append(args)
+                return submit(*args, **kwargs)
+
+            monkeypatch.setattr(router._impl, "submit", counting_submit)
         try:
             # Warm-up dispatches bypass the router: its ids run 0..len-1.
             router.replay_trace(trace, pool, drain_every=32)
