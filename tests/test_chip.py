@@ -245,3 +245,112 @@ class TestChipInterface:
     def test_disturb_chip_uses_decorrelated_macro_seeds(self):
         chip = IMCChip(3, MacroConfig(inject_read_disturb=True, seed=5))
         assert [m.config.seed for m in chip.macros] == [5, 6, 7]
+
+
+def _replay_shard_slices(chip, opcode, a, b, bits):
+    """Reference dispatch: the ``shard_slices`` spec, one gather per batch.
+
+    Calls each macro's ``elementwise_array`` in macro index order on the
+    concatenation of its round-robin batches and scatters the results back
+    batch by batch, returning what ``run_elementwise`` should report.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64) if b is not None else None
+    cycles_before = [macro.stats.total_cycles for macro in chip.macros]
+    energy_before = [macro.stats.total_energy_j for macro in chip.macros]
+    values = np.zeros(a.size, dtype=np.int64)
+    shard_sizes = []
+    for macro, ranges in zip(chip.macros, chip.shard_slices(a.size, opcode, bits)):
+        shard_sizes.append(sum(stop - start for start, stop in ranges))
+        if not ranges:
+            continue
+        gather_b = (
+            np.concatenate([b[start:stop] for start, stop in ranges])
+            if b is not None
+            else None
+        )
+        shard = macro.elementwise_array(
+            opcode,
+            np.concatenate([a[start:stop] for start, stop in ranges]),
+            gather_b,
+            precision_bits=bits,
+        )
+        offset = 0
+        for start, stop in ranges:
+            values[start:stop] = shard[offset : offset + stop - start]
+            offset += stop - start
+    per_macro = [
+        macro.stats.total_cycles - before
+        for macro, before in zip(chip.macros, cycles_before)
+    ]
+    energy = float(
+        sum(
+            macro.stats.total_energy_j - before
+            for macro, before in zip(chip.macros, energy_before)
+        )
+    )
+    critical = max(per_macro, default=0)
+    return {
+        "opcode": opcode,
+        "precision_bits": bits,
+        "elements": int(a.size),
+        "shard_sizes": tuple(shard_sizes),
+        "values": values.tolist(),
+        "total_cycles": sum(per_macro),
+        "critical_path_cycles": critical,
+        "energy_j": energy.hex(),
+        "latency_s": (critical * chip.cycle_time_s(bits)).hex(),
+    }
+
+
+def _dispatch_fields(result):
+    return {
+        "opcode": result.opcode,
+        "precision_bits": result.precision_bits,
+        "elements": result.elements,
+        "shard_sizes": result.shard_sizes,
+        "values": result.values.tolist(),
+        "total_cycles": result.total_cycles,
+        "critical_path_cycles": result.critical_path_cycles,
+        "energy_j": result.energy_j.hex(),
+        "latency_s": result.latency_s.hex(),
+    }
+
+
+def _ledgers(chip):
+    return [
+        (
+            {
+                opcode: (rec.invocations, rec.words, rec.cycles, rec.energy_j.hex())
+                for opcode, rec in macro.stats.records.items()
+            },
+            macro.stats.array_accesses,
+        )
+        for macro in chip.macros
+    ]
+
+
+class TestDispatchLedgerParity:
+    """``run_elementwise`` equals a replay of ``shard_slices``, to the bit.
+
+    Both chips run the same sequence of dispatches, so the per-macro float
+    ledgers also pin down the order in which energy is accumulated.
+    """
+
+    @pytest.mark.parametrize("num_macros", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "opcode", [Opcode.ADD, Opcode.SUB, Opcode.MULT, Opcode.NOT, Opcode.XOR]
+    )
+    @pytest.mark.parametrize("bits", [2, 4, 8, 16])
+    def test_run_elementwise_matches_shard_slices_replay(self, num_macros, opcode, bits):
+        chip = IMCChip(num_macros)
+        reference = IMCChip(num_macros)
+        lanes = chip.macro(0).lane_count(opcode, bits)
+        lengths = [0, 1, lanes - 1, lanes * num_macros + 1, 1023, 4096]
+        for seed, n in enumerate(lengths):
+            a, b = _random_operands(n, bits, seed=seed)
+            b_arg = b if opcode.is_dual_wordline else None
+            result = chip.run_elementwise(opcode, a, b_arg, precision_bits=bits)
+            expected = _replay_shard_slices(reference, opcode, a, b_arg, bits)
+            assert _dispatch_fields(result) == expected, n
+            assert _ledgers(chip) == _ledgers(reference), n
