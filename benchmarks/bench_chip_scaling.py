@@ -9,7 +9,8 @@ Two measurements back the chip layer:
 * **Host speedup** — the vectorized column-parallel hot path against the
   seed's per-lane Python loop on a 4096-element 8-bit signed dot product
   (the acceptance gate of the chip PR: >= 5x; in practice it is orders of
-  magnitude).
+  magnitude).  The absolute host wall time per macro count is written
+  beside the ratios, so the trajectory also records what one dot costs.
 
 The sweep is additionally written to ``benchmarks/results/chip_scaling.json``
 so future PRs can diff the perf trajectory.
@@ -133,9 +134,11 @@ def test_dot_product_speedup_vs_seed_loop(reporter, write_results_json):
     reference_value, reference_wall = _reference_dot(a, b)
     rows = []
     speedups = {}
+    walls = {}
     for num_macros in MACRO_COUNTS:
         value, wall = _vectorized_dot(a, b, num_macros)
         assert value == reference_value == int(np.dot(a, b))
+        walls[num_macros] = wall
         speedups[num_macros] = reference_wall / wall
         rows.append([num_macros, wall * 1e3, speedups[num_macros]])
     rows.append(["per-lane seed loop", reference_wall * 1e3, 1.0])
@@ -150,6 +153,7 @@ def test_dot_product_speedup_vs_seed_loop(reporter, write_results_json):
             "elements": DOT_ELEMENTS,
             "reference_wall_s": reference_wall,
             "speedup_by_macros": {str(n): s for n, s in speedups.items()},
+            "wall_s_by_macros": {str(n): w for n, w in walls.items()},
         },
     )
     # Acceptance gate of the chip PR: the vectorized hot path must beat the

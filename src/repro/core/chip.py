@@ -42,7 +42,7 @@ from repro.core.macro import IMCMacro
 from repro.core.operations import Opcode
 from repro.core.stats import MacroStatistics
 from repro.errors import AddressError, OperandError
-from repro.utils.validation import check_positive
+from repro.utils.validation import as_int_vector, check_positive
 
 __all__ = ["ChipDispatchResult", "IMCChip"]
 
@@ -207,7 +207,8 @@ class IMCChip:
         macro) and batches are dealt round-robin across the macros, so a
         ragged tail lands on the macro after the last full batch and the
         ``num_macros=1`` case reproduces the single-macro chunk order
-        exactly.
+        exactly.  :meth:`run_elementwise` deals the same batches with one
+        permutation; this list form is the readable spec.
         """
         lanes = self._lead.lane_count(opcode, precision_bits)
         assignments: List[List[Tuple[int, int]]] = [[] for _ in range(self.num_macros)]
@@ -231,48 +232,54 @@ class IMCChip:
         Returns the merged results in input order plus the dispatch-level
         accounting (total work cycles, critical-path cycles of the busiest
         macro, energy, and the wall-clock latency the critical path implies).
+
+        The round-robin deal of :meth:`shard_slices` is applied as one
+        stable permutation: sorting element indices by owning macro puts
+        each macro's batches, in batch order, into one contiguous slice, so
+        every macro is called once, in macro index order, and re-chunks its
+        slice into exactly the row accesses the spec assigns it.
         """
         bits = self._lead._resolve_precision(precision_bits)
         if opcode.is_dual_wordline and b_values is None:
             raise OperandError(f"{opcode.name} needs two operand vectors")
-        if b_values is not None and len(b_values) != len(a_values):
+        a = as_int_vector("a_values", a_values)
+        b = as_int_vector("b_values", b_values) if b_values is not None else None
+        if b is not None and b.size != a.size:
             raise OperandError("operand vectors must have the same length")
-
-        a = np.asarray(a_values, dtype=np.int64)
-        b = np.asarray(b_values, dtype=np.int64) if b_values is not None else None
         elements = int(a.size)
+
+        lanes = self._lead.lane_count(opcode, bits)
+        owner = (np.arange(elements) // lanes) % self.num_macros
+        order = np.argsort(owner, kind="stable")
+        shard_sizes = np.bincount(owner, minlength=self.num_macros).tolist()
+        a = a[order]
+        b = b[order] if b is not None else None
 
         cycles_before = [macro.stats.total_cycles for macro in self.macros]
         energy_before = [macro.stats.total_energy_j for macro in self.macros]
 
-        values: Optional[np.ndarray] = None
-        shard_sizes: List[int] = []
-        for index, ranges in enumerate(self.shard_slices(elements, opcode, bits)):
-            if not ranges:
-                shard_sizes.append(0)
+        shards: List[np.ndarray] = []
+        start = 0
+        for macro, size in zip(self.macros, shard_sizes):
+            if size == 0:
                 continue
-            # One dispatch per macro: its batches are concatenated so the
-            # macro re-chunks them into exactly the same row accesses.
-            gather = np.concatenate([a[start:stop] for start, stop in ranges])
-            gather_b = (
-                np.concatenate([b[start:stop] for start, stop in ranges])
-                if b is not None
-                else None
-            )
-            shard_sizes.append(int(gather.size))
+            stop = start + size
             # elementwise_array routes disturb-injecting configurations to
             # the per-lane reference path internally.
-            shard_values = self.macros[index].elementwise_array(
-                opcode, gather, gather_b, precision_bits=bits
+            shards.append(
+                macro.elementwise_array(
+                    opcode,
+                    a[start:stop],
+                    b[start:stop] if b is not None else None,
+                    precision_bits=bits,
+                )
             )
-            if values is None:
-                values = np.zeros(elements, dtype=shard_values.dtype)
-            offset = 0
-            for start, stop in ranges:
-                values[start:stop] = shard_values[offset : offset + (stop - start)]
-                offset += stop - start
+            start = stop
 
-        if values is None:
+        if shards:
+            values = np.empty(elements, dtype=shards[0].dtype)
+            values[order] = np.concatenate(shards)
+        else:
             values = np.zeros(0, dtype=np.int64)
 
         per_macro_cycles = [
@@ -317,7 +324,7 @@ class IMCChip:
         precision_bits: Optional[int] = None,
     ) -> List[int]:
         """Sharded element-wise operation (macro-compatible list interface)."""
-        return [int(v) for v in self.elementwise_array(opcode, a_values, b_values, precision_bits)]
+        return self.elementwise_array(opcode, a_values, b_values, precision_bits).tolist()
 
     def compute(
         self,

@@ -33,6 +33,8 @@ import numpy as np
 from repro.core.macro import IMCMacro
 from repro.core.operations import Opcode
 from repro.errors import OperandError, PrecisionError
+from repro.utils.validation import as_int_vector
+
 __all__ = ["KernelResult", "VectorKernels"]
 
 
@@ -80,7 +82,7 @@ class VectorKernels:
         return (1 << (self.precision_bits - 1)) - 1
 
     def _check_signed(self, name: str, values: Sequence[int]) -> np.ndarray:
-        array = np.asarray(list(values), dtype=np.int64)
+        array = as_int_vector(name, values)
         limit = self._signed_limit()
         if array.size and (array.min() < -limit - 1 or array.max() > limit):
             raise OperandError(
@@ -89,20 +91,20 @@ class VectorKernels:
             )
         return array
 
-    def _encode(self, values: np.ndarray) -> List[int]:
-        # Vectorized to_twos_complement: the bit pattern is just the value
-        # masked to the word width.
-        modulus_mask = (1 << self.precision_bits) - 1
-        return (np.asarray(values, dtype=np.int64) & modulus_mask).tolist()
+    def _check_pair(self, a: Sequence[int], b: Sequence[int]):
+        array_a = self._check_signed("a", a)
+        array_b = self._check_signed("b", b)
+        if array_a.size != array_b.size:
+            raise OperandError("operand vectors must have the same length")
+        return array_a, array_b
 
-    def _decode(self, patterns: Sequence[int]) -> List[int]:
-        # Vectorized from_twos_complement.
-        array = np.asarray(list(patterns), dtype=np.int64)
-        half = 1 << (self.precision_bits - 1)
-        return np.where(array >= half, array - (half << 1), array).tolist()
-
-    def _collect(self, values: List[int], stats_before: Dict[str, float]) -> KernelResult:
-        summary = self.macro.stats.summary()
+    def _collect(
+        self,
+        values: List[int],
+        stats_before: Dict[str, float],
+        stats_after: Optional[Dict[str, float]] = None,
+    ) -> KernelResult:
+        summary = stats_after if stats_after is not None else self.macro.stats.summary()
         return KernelResult(
             values=values,
             cycles=int(summary["cycles"] - stats_before["cycles"]),
@@ -113,55 +115,47 @@ class VectorKernels:
     # ------------------------------------------------------------------ #
     # Element-wise signed kernels
     # ------------------------------------------------------------------ #
+    def _modular(self, opcode: Opcode, a: Sequence[int], b: Sequence[int]) -> KernelResult:
+        """ADD/SUB on two's-complement bit patterns, decoded back to signed."""
+        array_a, array_b = self._check_pair(a, b)
+        before = self.macro.stats.summary()
+        modulus_mask = (1 << self.precision_bits) - 1
+        raw = self.macro.elementwise_array(
+            opcode, array_a & modulus_mask, array_b & modulus_mask, self.precision_bits
+        )
+        half = 1 << (self.precision_bits - 1)
+        values = np.where(raw >= half, raw - (half << 1), raw)
+        return self._collect(values.tolist(), before)
+
     def add(self, a: Sequence[int], b: Sequence[int]) -> KernelResult:
         """Element-wise signed addition (wraps on overflow, like the hardware)."""
-        array_a = self._check_signed("a", a)
-        array_b = self._check_signed("b", b)
-        if array_a.size != array_b.size:
-            raise OperandError("operand vectors must have the same length")
-        before = self.macro.stats.summary()
-        raw = self.macro.elementwise(
-            Opcode.ADD, self._encode(array_a), self._encode(array_b), self.precision_bits
-        )
-        return self._collect(self._decode(raw), before)
+        return self._modular(Opcode.ADD, a, b)
 
     def subtract(self, a: Sequence[int], b: Sequence[int]) -> KernelResult:
         """Element-wise signed subtraction."""
-        array_a = self._check_signed("a", a)
-        array_b = self._check_signed("b", b)
-        if array_a.size != array_b.size:
-            raise OperandError("operand vectors must have the same length")
-        before = self.macro.stats.summary()
-        raw = self.macro.elementwise(
-            Opcode.SUB, self._encode(array_a), self._encode(array_b), self.precision_bits
+        return self._modular(Opcode.SUB, a, b)
+
+    def _products(self, array_a: np.ndarray, array_b: np.ndarray) -> np.ndarray:
+        """Signed products: unsigned in-memory MULT of magnitudes, signs re-applied.
+
+        Products wider than int64 (2N > 62 bits) arrive as an object array of
+        Python ints, and the sign multiply keeps them exact.
+        """
+        magnitudes = self.macro.elementwise_array(
+            Opcode.MULT, np.abs(array_a), np.abs(array_b), self.precision_bits
         )
-        return self._collect(self._decode(raw), before)
+        return np.sign(array_a) * np.sign(array_b) * magnitudes
 
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> KernelResult:
         """Element-wise signed multiplication (full double-width products)."""
-        array_a = self._check_signed("a", a)
-        array_b = self._check_signed("b", b)
-        if array_a.size != array_b.size:
-            raise OperandError("operand vectors must have the same length")
+        array_a, array_b = self._check_pair(a, b)
         before = self.macro.stats.summary()
-        magnitudes = self.macro.elementwise(
-            Opcode.MULT,
-            np.abs(array_a).tolist(),
-            np.abs(array_b).tolist(),
-            self.precision_bits,
-        )
-        signs = np.sign(array_a) * np.sign(array_b)
-        if 2 * self.precision_bits > 62:
-            # Full products would overflow int64; combine with Python ints.
-            values = [int(s) * int(m) for s, m in zip(signs, magnitudes)]
-        else:
-            values = (signs * np.asarray(magnitudes, dtype=np.int64)).tolist()
-        return self._collect(values, before)
+        return self._collect(self._products(array_a, array_b).tolist(), before)
 
     def scale(self, a: Sequence[int], scalar: int) -> KernelResult:
         """Multiply every element by a signed scalar."""
         array_a = self._check_signed("a", a)
-        return self.multiply(array_a.tolist(), [scalar] * array_a.size)
+        return self.multiply(array_a, [scalar] * array_a.size)
 
     # ------------------------------------------------------------------ #
     # Reductions and MAC-style kernels
@@ -174,7 +168,7 @@ class VectorKernels:
             accumulator_bits = self.precision_bits * 2
         return accumulator_bits
 
-    def _accumulate(self, values: Sequence[int]) -> int:
+    def _accumulate(self, values: np.ndarray) -> int:
         """Serial reduction of (possibly wide) signed values via in-memory ADDs.
 
         The accumulator precision is the widest mode the macro supports so
@@ -183,28 +177,31 @@ class VectorKernels:
         batched accounting (and internally routes disturb-injecting
         configurations to the per-step on-array reference execution).
         """
-        return self.macro.reduce_add(
-            [int(v) for v in values], self._accumulator_bits()
-        )
+        return self.macro.reduce_add(values, self._accumulator_bits())
 
     def sum(self, a: Sequence[int]) -> KernelResult:
         """Signed sum of a vector (in-memory accumulation)."""
         array_a = self._check_signed("a", a)
         before = self.macro.stats.summary()
-        total = self._accumulate(array_a.tolist())
+        total = self._accumulate(array_a)
         return self._collect([total], before)
 
     def dot(self, a: Sequence[int], b: Sequence[int]) -> KernelResult:
         """Signed dot product: element-wise MULT + in-memory accumulation."""
-        products = self.multiply(a, b)
+        array_a, array_b = self._check_pair(a, b)
         before = self.macro.stats.summary()
-        total = self._accumulate(products.values)
-        tail = self._collect([total], before)
+        products = self._products(array_a, array_b)
+        middle = self.macro.stats.summary()
+        total = self._accumulate(products)
+        head = self._collect([total], before, middle)
+        tail = self._collect([total], middle)
+        # Phase costs are summed (not read as one delta) so the float energy
+        # equals the multiply kernel's energy plus the reduction's.
         return KernelResult(
             values=[total],
-            cycles=products.cycles + tail.cycles,
-            energy_j=products.energy_j + tail.energy_j,
-            operations=products.operations + tail.operations,
+            cycles=head.cycles + tail.cycles,
+            energy_j=head.energy_j + tail.energy_j,
+            operations=head.operations + tail.operations,
         )
 
     def matvec(self, matrix: Sequence[Sequence[int]], vector: Sequence[int]) -> KernelResult:
@@ -250,7 +247,7 @@ class VectorKernels:
         operations = 0
         for index in range(signal_array.size):
             window = padded[index : index + taps_array.size][::-1]
-            result = self.dot(window.tolist(), taps_array.tolist())
+            result = self.dot(window, taps_array)
             values.append(result.value)
             cycles += result.cycles
             energy += result.energy_j
@@ -265,6 +262,6 @@ class VectorKernels:
     def cost_summary(self) -> Dict[str, float]:
         """The macro's cumulative statistics (all kernels run so far)."""
         summary = self.macro.stats.summary()
-        summary["cycle_time_s"] = self.macro.cycle_time_s()
+        summary["cycle_time_s"] = self.macro.cycle_time_s(self.precision_bits)
         summary["execution_time_s"] = summary["cycles"] * summary["cycle_time_s"]
         return summary

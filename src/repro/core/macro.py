@@ -34,6 +34,7 @@ from repro.core.layout import ColumnLayout
 from repro.core.operations import Opcode, cycles_for
 from repro.core.periphery import ColumnPeriphery
 from repro.core.stats import MacroStatistics
+from repro.utils.validation import as_int_vector
 from repro.circuits.delay import CycleDelayModel
 from repro.circuits.energy import OperationEnergyModel
 from repro.circuits.readdisturb import ReadDisturbModel
@@ -111,6 +112,10 @@ class IMCMacro:
         self.stats = MacroStatistics()
         self._precision = self.config.precision_bits
         self._active_columns = self.layout.active_columns()
+        # Energy per word is a pure function of (opcode, precision) at the
+        # frozen configuration's operating point, so the vectorized paths
+        # look it up once instead of re-deriving it on every call.
+        self._energy_per_word_cache: dict = {}
 
     # ------------------------------------------------------------------ #
     # Precision reconfiguration
@@ -583,8 +588,7 @@ class IMCMacro:
         read-disturb-injecting configurations to the reference path, which
         performs the real cell-level accesses.)
         """
-        result = self.elementwise_array(opcode, a_values, b_values, precision_bits)
-        return [int(v) for v in result]
+        return self.elementwise_array(opcode, a_values, b_values, precision_bits).tolist()
 
     def elementwise_reference(
         self,
@@ -709,12 +713,26 @@ class IMCMacro:
         raise ConfigurationError(f"unsupported opcode {opcode!r}")
 
     def _check_unsigned_operands(self, name: str, values: Sequence[int], bits: int) -> np.ndarray:
-        array = np.asarray(values, dtype=np.int64)
+        array = as_int_vector(name, values)
         if array.size and (array.min() < 0 or array.max() > mask(bits)):
             raise OperandError(
                 f"{name} contains values outside the unsigned {bits}-bit range"
             )
         return array
+
+    def _energy_per_word_j(self, opcode: Opcode, precision_bits: int) -> float:
+        """Energy of one word-level result of ``opcode`` (memoised)."""
+        key = (opcode, precision_bits)
+        energy = self._energy_per_word_cache.get(key)
+        if energy is None:
+            energy = self.energy_model.energy_for(
+                opcode.energy_mnemonic,
+                precision_bits,
+                vdd=self.config.operating_point.vdd,
+                bl_separator=self.config.bl_separator,
+            ).total_j
+            self._energy_per_word_cache[key] = energy
+        return energy
 
     def elementwise_array(
         self,
@@ -738,46 +756,38 @@ class IMCMacro:
         without branching on the configuration itself.
         """
         bits = self._resolve_precision(precision_bits)
-        if self.config.inject_read_disturb:
-            reference = self.elementwise_reference(
-                opcode,
-                np.asarray(a_values).tolist(),
-                np.asarray(b_values).tolist() if b_values is not None else None,
-                precision_bits=bits,
-            )
-            dtype = object if (opcode is Opcode.MULT and 2 * bits > 62) else np.int64
-            return np.asarray(reference, dtype=dtype)
         if opcode.is_dual_wordline and b_values is None:
             raise OperandError(f"{opcode.name} needs two operand vectors")
-        if b_values is not None and len(b_values) != len(a_values):
-            raise OperandError("operand vectors must have the same length")
-        lanes = self.lane_count(opcode, bits)
-
         a = self._check_unsigned_operands("a_values", a_values, bits)
         b = (
             self._check_unsigned_operands("b_values", b_values, bits)
             if b_values is not None
             else None
         )
+        if b is not None and b.size != a.size:
+            raise OperandError("operand vectors must have the same length")
+        if self.config.inject_read_disturb:
+            reference = self.elementwise_reference(
+                opcode,
+                a.tolist(),
+                b.tolist() if b is not None else None,
+                precision_bits=bits,
+            )
+            dtype = object if (opcode is Opcode.MULT and 2 * bits > 62) else np.int64
+            return np.asarray(reference, dtype=dtype)
         if a.size == 0:
             return np.zeros(0, dtype=np.int64)
 
         values = self._batch_values(opcode, a, b, bits)
 
+        lanes = self.lane_count(opcode, bits)
         invocations = -(-a.size // lanes)  # ceil division: one per lane batch
-        cycles_each = cycles_for(opcode, bits)
-        energy_per_word = self.energy_model.energy_for(
-            opcode.energy_mnemonic,
-            bits,
-            vdd=self.config.operating_point.vdd,
-            bl_separator=self.config.bl_separator,
-        ).total_j
         self.stats.record_batch(
             opcode,
             invocations=invocations,
             words=int(a.size),
-            cycles=cycles_each * invocations,
-            energy_j=energy_per_word * a.size,
+            cycles=cycles_for(opcode, bits) * invocations,
+            energy_j=self._energy_per_word_j(opcode, bits) * a.size,
         )
         self.array.access_count += self._array_accesses_for(opcode, bits) * invocations
         self.stats.array_accesses = self.array.access_count
@@ -800,7 +810,7 @@ class IMCMacro:
         self.layout.check_precision(accumulator_bits)
         if self.config.inject_read_disturb:
             return self.reduce_add_reference(values, accumulator_bits)
-        array = np.asarray(list(values), dtype=np.int64)
+        array = as_int_vector("values", values)
         if array.size == 0:
             return 0
         limit = (1 << (accumulator_bits - 1)) - 1
@@ -812,12 +822,7 @@ class IMCMacro:
         decoded = np.where(wrapped >= modulus // 2, wrapped - modulus, wrapped)
         if np.abs(decoded).max() > limit:
             raise OperandError("accumulator overflow in reduction")
-        energy_per_add = self.energy_model.energy_for(
-            Opcode.ADD.energy_mnemonic,
-            accumulator_bits,
-            vdd=self.config.operating_point.vdd,
-            bl_separator=self.config.bl_separator,
-        ).total_j
+        energy_per_add = self._energy_per_word_j(Opcode.ADD, accumulator_bits)
         count = int(array.size)
         self.stats.record_batch(
             Opcode.ADD,

@@ -2,14 +2,17 @@
 
 These raise :class:`repro.errors.ConfigurationError` with a message that names
 the offending parameter, which keeps the constructors of configuration
-dataclasses short and uniform.
+dataclasses short and uniform.  :func:`as_int_vector` is the operand-side
+counterpart and raises :class:`repro.errors.OperandError`.
 """
 
 from __future__ import annotations
 
-from numbers import Real
+from numbers import Integral, Real
 
-from repro.errors import ConfigurationError
+import numpy as np
+
+from repro.errors import ConfigurationError, OperandError
 
 __all__ = [
     "check_positive",
@@ -18,6 +21,7 @@ __all__ = [
     "check_power_of_two",
     "check_probability",
     "check_ledger_conservation",
+    "as_int_vector",
 ]
 
 
@@ -81,3 +85,26 @@ def check_ledger_conservation(cluster, parts, rel: float = 1e-12) -> None:
             "ledger conservation violated: cluster energy "
             f"{cluster.total_energy_j!r} J != sum of node energies {energy!r} J"
         )
+
+
+def as_int_vector(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D int64 array; refuse anything that is not one.
+
+    Python ints and numpy integer (or bool) dtypes are accepted.  Floats,
+    strings and nested sequences raise :class:`~repro.errors.OperandError`
+    where a plain ``int64`` cast would silently truncate or flatten them.
+    """
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise OperandError(f"{name} must be a 1-D vector, got {array.ndim}-D input")
+    if array.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if array.dtype.kind == "O" and all(isinstance(v, Integral) for v in array.tolist()):
+        # Python ints too wide for int64 land in an object array.
+        try:
+            return array.astype(np.int64)
+        except OverflowError:
+            raise OperandError(f"{name} contains values beyond the int64 range") from None
+    if array.dtype.kind not in "biu":
+        raise OperandError(f"{name} must hold integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)

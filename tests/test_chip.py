@@ -45,6 +45,29 @@ class TestVectorizedPathMatchesReference:
         assert fast == reference
         _assert_summaries_match(fast_macro.stats.summary(), ref_macro.stats.summary())
 
+    def test_interleaved_opcodes_and_precisions_match_reference(self):
+        # One macro serving a mix of opcodes and precisions must charge each
+        # record the per-word energy of its own (opcode, precision).
+        fast_macro = IMCMacro(MacroConfig())
+        ref_macro = IMCMacro(MacroConfig())
+        for round_index in range(2):
+            for bits in (4, 8, 16):
+                for opcode in (Opcode.ADD, Opcode.MULT, Opcode.SUB, Opcode.XOR):
+                    a, b = _random_operands(19 + round_index, bits, seed=bits)
+                    fast = fast_macro.elementwise(opcode, a, b, precision_bits=bits)
+                    assert fast == ref_macro.elementwise_reference(
+                        opcode, a, b, precision_bits=bits
+                    )
+        assert fast_macro.stats.records.keys() == ref_macro.stats.records.keys()
+        for opcode, record in ref_macro.stats.records.items():
+            fast_record = fast_macro.stats.records[opcode]
+            assert (fast_record.invocations, fast_record.words, fast_record.cycles) == (
+                record.invocations,
+                record.words,
+                record.cycles,
+            )
+            assert fast_record.energy_j == pytest.approx(record.energy_j, rel=1e-12)
+
     def test_empty_vector(self):
         macro = IMCMacro(MacroConfig())
         assert macro.elementwise(Opcode.ADD, [], []) == []
@@ -333,24 +356,63 @@ def _ledgers(chip):
 class TestDispatchLedgerParity:
     """``run_elementwise`` equals a replay of ``shard_slices``, to the bit.
 
-    Both chips run the same sequence of dispatches, so the per-macro float
-    ledgers also pin down the order in which energy is accumulated.
+    Both chips run the same interleaved sequence of opcodes and lengths, so
+    the per-macro float ledgers also pin down the order in which energy is
+    accumulated and that per-word energy is never shared across opcodes.
     """
 
     @pytest.mark.parametrize("num_macros", [1, 3, 8])
-    @pytest.mark.parametrize(
-        "opcode", [Opcode.ADD, Opcode.SUB, Opcode.MULT, Opcode.NOT, Opcode.XOR]
-    )
     @pytest.mark.parametrize("bits", [2, 4, 8, 16])
-    def test_run_elementwise_matches_shard_slices_replay(self, num_macros, opcode, bits):
+    def test_run_elementwise_matches_shard_slices_replay(self, num_macros, bits):
         chip = IMCChip(num_macros)
         reference = IMCChip(num_macros)
-        lanes = chip.macro(0).lane_count(opcode, bits)
-        lengths = [0, 1, lanes - 1, lanes * num_macros + 1, 1023, 4096]
-        for seed, n in enumerate(lengths):
-            a, b = _random_operands(n, bits, seed=seed)
-            b_arg = b if opcode.is_dual_wordline else None
-            result = chip.run_elementwise(opcode, a, b_arg, precision_bits=bits)
-            expected = _replay_shard_slices(reference, opcode, a, b_arg, bits)
-            assert _dispatch_fields(result) == expected, n
-            assert _ledgers(chip) == _ledgers(reference), n
+        seed = 0
+        for length_index in range(6):
+            for opcode in (Opcode.ADD, Opcode.SUB, Opcode.MULT, Opcode.NOT, Opcode.XOR):
+                lanes = chip.macro(0).lane_count(opcode, bits)
+                n = [0, 1, lanes - 1, lanes * num_macros + 1, 1023, 4096][length_index]
+                seed += 1
+                a, b = _random_operands(n, bits, seed=seed)
+                b_arg = b if opcode.is_dual_wordline else None
+                result = chip.run_elementwise(opcode, a, b_arg, precision_bits=bits)
+                expected = _replay_shard_slices(reference, opcode, a, b_arg, bits)
+                assert _dispatch_fields(result) == expected, (opcode, n)
+                assert _ledgers(chip) == _ledgers(reference), (opcode, n)
+
+
+class TestOperandValidation:
+    def test_float_operands_rejected_not_truncated(self):
+        macro = IMCMacro(MacroConfig())
+        with pytest.raises(OperandError):
+            macro.elementwise(Opcode.ADD, [1.9], [1.9], 8)
+        with pytest.raises(OperandError):
+            macro.elementwise_array(Opcode.ADD, np.array([1.0]), [1], 8)
+        with pytest.raises(OperandError):
+            IMCChip(2).run_elementwise(Opcode.ADD, [1.9], [1.9])
+        with pytest.raises(OperandError):
+            macro.reduce_add([1.5, 2], 32)
+
+    def test_non_vector_operands_rejected(self):
+        with pytest.raises(OperandError):
+            IMCChip(2).run_elementwise(Opcode.ADD, [[1, 2]], [[1, 2]])
+        with pytest.raises(OperandError):
+            IMCChip(2).run_elementwise(Opcode.NOT, 5)
+        with pytest.raises(OperandError):
+            IMCMacro(MacroConfig()).elementwise_array(Opcode.ADD, [[1, 2]], [[1, 2]])
+        disturbed = IMCMacro(MacroConfig(inject_read_disturb=True))
+        with pytest.raises(OperandError):
+            disturbed.elementwise_array(Opcode.ADD, [[1, 2]], [[1, 2]])
+
+    def test_operands_beyond_int64_rejected(self):
+        with pytest.raises(OperandError):
+            IMCChip(2).run_elementwise(Opcode.ADD, [1 << 70], [1])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.int64])
+    def test_numpy_integer_dtypes_accepted(self, dtype):
+        a, b = _random_operands(100, 8, seed=29)
+        chip = IMCChip(3)
+        as_dtype = chip.elementwise(
+            Opcode.ADD, np.array(a, dtype=dtype), np.array(b, dtype=dtype)
+        )
+        assert as_dtype == [(x + y) % 256 for x, y in zip(a, b)]
+        assert all(type(value) is int for value in as_dtype)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import IMCMacro, MacroConfig
+from repro.core import IMCChip, IMCMacro, MacroConfig
 from repro.core.kernels import VectorKernels
 from repro.errors import OperandError
 
@@ -120,3 +120,60 @@ class TestAccounting:
         high_result = high.multiply([3, -5, 7], [2, 4, -6])
         assert low_result.values == high_result.values
         assert low_result.energy_j < high_result.energy_j
+
+
+class TestOperandTypes:
+    @pytest.mark.parametrize("kernel", ["add", "subtract", "multiply", "dot"])
+    def test_float_operands_rejected_not_truncated(self, kernel):
+        kernels = VectorKernels(IMCChip(2), precision_bits=16)
+        with pytest.raises(OperandError):
+            getattr(kernels, kernel)([1.7], [2.2])
+        with pytest.raises(OperandError):
+            getattr(kernels, kernel)(np.array([1.0, 2.0]), [1, 2])
+
+    def test_float_sum_and_scale_rejected(self, kernels):
+        with pytest.raises(OperandError):
+            kernels.sum([1.5, 2])
+        with pytest.raises(OperandError):
+            kernels.scale([1, 2], 1.5)
+
+    def test_nested_operands_rejected(self, kernels):
+        with pytest.raises(OperandError):
+            kernels.add([[1, 2]], [[3, 4]])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8])
+    def test_numpy_integer_dtypes_accepted(self, kernels, dtype):
+        a = np.array([1, 2, 3], dtype=dtype)
+        b = np.array([4, 5, 6], dtype=dtype)
+        assert kernels.add(a, b).values == [5, 7, 9]
+        assert kernels.multiply(a, b).values == [4, 10, 18]
+        assert kernels.dot(a, b).value == 32
+
+    def test_values_are_python_ints(self, kernels):
+        result = kernels.multiply(np.array([3, -4]), np.array([-5, 6]))
+        assert result.values == [-15, -24]
+        assert all(type(value) is int for value in result.values)
+
+    def test_wide_signed_products_stay_exact(self):
+        # 32-bit magnitudes multiply into products the macro carries as
+        # Python ints; the re-applied sign must keep them exact.
+        kernels = VectorKernels(
+            IMCChip(2, MacroConfig(cols=256, precision_bits=32)), precision_bits=32
+        )
+        a = [-(1 << 31), (1 << 31) - 1, 7]
+        b = [-(1 << 31), -(1 << 31), -3]
+        result = kernels.multiply(a, b)
+        assert result.values == [x * y for x, y in zip(a, b)]
+        assert all(type(value) is int for value in result.values)
+
+
+class TestCostSummaryPrecision:
+    def test_kernels_sharing_a_chip_report_their_own_cycle_time(self):
+        chip = IMCChip(2)
+        low = VectorKernels(chip, precision_bits=4)
+        high = VectorKernels(chip, precision_bits=16)
+        high.add([1, 2], [3, 4])
+        assert chip.precision_bits == 16
+        assert low.cost_summary()["cycle_time_s"] == chip.cycle_time_s(4)
+        assert high.cost_summary()["cycle_time_s"] == chip.cycle_time_s(16)
+        assert chip.cycle_time_s(4) < chip.cycle_time_s(16)
