@@ -814,3 +814,94 @@ class TestAsyncClient:
         finally:
             gw.stop()
             router.shutdown()
+
+
+class TestStatsScrapeParity:
+    def test_stats_registry_and_metrics_frame_agree(self, trained):
+        """Every STATS counter is the registry counter a scrape reads.
+
+        One run exercises responses, a BUSY refusal, a shed and a
+        dropped response; ``snapshot()``, the registry snapshot and a
+        METRICS frame must then report the same number for every
+        ``gateway_<key>_total`` counter.
+        """
+        from repro.gateway.server import _STATS_KEYS
+
+        dataset, cnn = trained
+        router = make_router(cnn)
+        gw = ThreadedGateway(router, max_queue=2, min_retry_after_s=1e-6)
+        gw.start()
+        try:
+            server = gw.server
+            host, port = server.host, server.port
+            with GatewayClient(host, port) as client:
+                seed = client.predict("cnn", dataset.test_images[:1])
+
+            def request(wire_id, **extra):
+                return encode_frame(
+                    FrameType.REQUEST,
+                    {
+                        "id": wire_id,
+                        "model_id": "cnn",
+                        "sla": "throughput",
+                        "images_ref": seed.images_ref,
+                        **extra,
+                    },
+                )
+
+            server.pause_dispatch()
+            # An admitted request whose client hangs up before dispatch.
+            with socket.create_connection((host, port)) as orphan:
+                orphan.sendall(request(1))
+            wait_until(
+                lambda: server.snapshot()["connections_closed"] >= 2
+                and server.snapshot()["requests_admitted"] == 2
+            )
+            sock = socket.create_connection((host, port))
+            try:
+                # Shed at admission, then one admission filling the
+                # queue, then a BUSY refusal.
+                sock.sendall(request(2, budget_s=0.0) + request(3) + request(4))
+                refusals = recv_frames(sock, 2)
+                assert refusals[0][0] is FrameType.ERROR
+                assert refusals[0][1]["code"] == "shed"
+                assert refusals[1][0] is FrameType.BUSY
+                server.resume_dispatch()
+                ((frame_type, reply),) = recv_frames(sock, 1)
+                assert frame_type is FrameType.RESPONSE
+                assert reply["id"] == 3
+                wait_until(lambda: server.snapshot()["responses_dropped"] == 1)
+                sock.sendall(encode_frame(FrameType.METRICS, {"id": 5}))
+                decoder, raw, frames = FrameDecoder(), 0, []
+                while not frames:
+                    chunk = sock.recv(65536)
+                    assert chunk
+                    raw += len(chunk)
+                    frames = decoder.feed(chunk)
+            finally:
+                sock.close()
+            wait_until(lambda: server.snapshot()["connections_closed"] == 3)
+            ((frame_type, scraped),) = frames
+            assert frame_type is FrameType.METRICS
+
+            stats = server.snapshot()
+            registry = server.metrics.snapshot()["metrics"]
+            wire = scraped["snapshot"]["metrics"]
+            for key in _STATS_KEYS:
+                name = f"gateway_{key}_total"
+                (sample,) = registry[name]["samples"]
+                assert sample["value"] == stats[key], key
+                (wire_sample,) = wire[name]["samples"]
+                # The METRICS frame was rendered before its own bytes
+                # were counted and before this connection closed.
+                later = {"bytes_sent": raw, "connections_closed": 1}.get(key, 0)
+                assert wire_sample["value"] + later == stats[key], key
+            assert stats["responses_sent"] == 2
+            assert stats["responses_dropped"] == 1
+            assert stats["busy_sent"] == 1
+            assert stats["shed_sent"] == 1
+            assert stats["requests_admitted"] == 3
+            assert stats["errors_sent"] == 1
+        finally:
+            gw.stop()
+            router.shutdown()
