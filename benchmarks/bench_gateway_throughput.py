@@ -8,7 +8,11 @@ Two measurements against a **live TCP server** (real sockets, loopback):
   :class:`~repro.gateway.server.GatewayServer` and records aggregate
   req/s plus p50/p99/p99.9 wire-latency percentiles.  The full-mode gate
   is **>= 5,000 req/s sustained** over loopback; smoke gates at 1,000 to
-  absorb CI machine variance.
+  absorb CI machine variance.  The absolute gateway cost is recorded
+  too, for information (no gate): ``server_cpu_us_per_request`` is this
+  process's CPU time over the sustained phase divided by the requests
+  served — the :class:`~repro.gateway.server.ThreadedGateway` is the
+  only thing running in this process while the load processes pump.
 * **Backpressure burst** — a 2x-overload burst against a gateway with a
   small admission bound (dispatch paused so the overload is
   deterministic) must lose nothing: every admitted request is answered
@@ -193,7 +197,9 @@ def _run_load(host, port, total_requests, workers, window, images):
     ]
     for process in processes:
         process.start()
+    cpu_start_s = time.process_time()
     reports = [queue.get(timeout=600) for _ in processes]
+    server_cpu_s = time.process_time() - cpu_start_s
     for process in processes:
         process.join(timeout=60)
     span_s = max(r["ended"] for r in reports) - min(r["started"] for r in reports)
@@ -204,6 +210,7 @@ def _run_load(host, port, total_requests, workers, window, images):
         "window": window,
         "span_s": span_s,
         "requests_per_s": per_worker * workers / span_s,
+        "server_cpu_us_per_request": server_cpu_s / (per_worker * workers) * 1e6,
         "busy": sum(r["busy"] for r in reports),
         "errors": sum(r["errors"] for r in reports),
         "latency": percentile_summary(latencies),
@@ -234,6 +241,7 @@ def test_gateway_sustained_throughput(benchmark, reporter, write_results_json):
             ["metric", "value"],
             [
                 ["sustained req/s", load["requests_per_s"]],
+                ["gateway CPU per request [us]", load["server_cpu_us_per_request"]],
                 ["span [s]", load["span_s"]],
                 ["p50 latency [ms]", latency["p50_s"] * 1e3],
                 ["p99 latency [ms]", latency["p99_s"] * 1e3],
@@ -255,6 +263,7 @@ def test_gateway_sustained_throughput(benchmark, reporter, write_results_json):
             "workers": WORKERS,
             "window": WINDOW,
             "requests_per_s": load["requests_per_s"],
+            "server_cpu_us_per_request": load["server_cpu_us_per_request"],
             "span_s": load["span_s"],
             "latency": latency,
             "busy": load["busy"],

@@ -146,6 +146,13 @@ class ProtocolError(ValueError):
     """
 
 
+#: The compact payload encoder, built once: ``json.dumps`` with a
+#: ``separators`` argument would construct a new encoder on every frame.
+#: Its output is byte-identical to ``json.dumps(payload,
+#: separators=(",", ":"))``.
+_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(
     frame_type: FrameType, payload: dict, version: Optional[int] = None
 ) -> bytes:
@@ -176,7 +183,7 @@ def encode_frame(
             f"frame type {frame_type.name} needs protocol version "
             f"0x{MIN_VERSION_BY_TYPE[frame_type]:02x} or later"
         )
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _JSON_ENCODER.encode(payload).encode("utf-8")
     if len(body) > MAX_PAYLOAD_BYTES:
         raise ProtocolError(
             f"payload of {len(body)} bytes exceeds the "

@@ -44,7 +44,7 @@ SNAPSHOT_SCHEMA = "repro.obs/1"
 
 
 class MetricError(ValueError):
-    """Invalid metric usage: bad name, label mismatch, NaN sample."""
+    """Invalid metric usage: bad name, label mismatch, non-finite sample."""
 
 
 def _validate_labels(
@@ -95,9 +95,11 @@ class Counter(_Sample):
         self.value: float = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (NaN is rejected; negative is tolerated)."""
-        if amount != amount:  # NaN
-            raise MetricError("counter increment must not be NaN")
+        """Add ``amount`` (NaN and infinities are rejected; negatives are not)."""
+        if not math.isfinite(amount):
+            raise MetricError(
+                f"counter increment must be finite, not NaN or infinite: {amount}"
+            )
         self.value += amount
         self._stamp()
 
@@ -105,8 +107,7 @@ class Counter(_Sample):
         return {"value": self.value}
 
     def merge_dict(self, data: dict) -> None:
-        self.value += float(data["value"])
-        self._stamp()
+        self.inc(float(data["value"]))
 
 
 class Gauge(_Sample):
@@ -119,9 +120,11 @@ class Gauge(_Sample):
         self.value: float = 0.0
 
     def set(self, value: float) -> None:
-        """Replace the gauge's value (NaN is rejected)."""
-        if value != value:  # NaN
-            raise MetricError("gauge value must not be NaN")
+        """Replace the gauge's value (NaN and infinities are rejected)."""
+        if not math.isfinite(value):
+            raise MetricError(
+                f"gauge value must be finite, not NaN or infinite: {value}"
+            )
         self.value = float(value)
         self._stamp()
 
@@ -134,8 +137,7 @@ class Gauge(_Sample):
 
     def merge_dict(self, data: dict) -> None:
         # Gauges are point-in-time: a merged snapshot overwrites.
-        self.value = float(data["value"])
-        self._stamp()
+        self.set(float(data["value"]))
 
 
 class Histogram(_Sample):
@@ -143,8 +145,8 @@ class Histogram(_Sample):
 
     Bucket ``i`` covers values in ``(2**(i/k), 2**((i+1)/k)]`` where
     ``k = buckets_per_octave``; exact zeros get their own counter and
-    negative or NaN samples are rejected (latency / energy / bytes are
-    the domain).  Recording is O(1): one ``log2``, one dict update.
+    negative or non-finite samples are rejected (latency / energy / bytes
+    are the domain).  Recording is O(1): one ``log2``, one dict update.
 
     Quantiles are read from the bucket grid (upper bucket edge, clamped
     to the observed min/max), so they depend only on the merged multiset
@@ -173,10 +175,12 @@ class Histogram(_Sample):
         """Fold one sample in (O(1)).
 
         Raises:
-            MetricError: On a NaN or negative sample.
+            MetricError: On a NaN, infinite or negative sample.
         """
-        if value != value:  # NaN
-            raise MetricError("histogram sample must not be NaN")
+        if not math.isfinite(value):
+            raise MetricError(
+                f"histogram sample must be finite, not NaN or infinite: {value}"
+            )
         if value < 0.0:
             raise MetricError(f"histogram sample must be >= 0, got {value}")
         if value == 0.0:
@@ -200,13 +204,13 @@ class Histogram(_Sample):
         chunk, so the per-sample Python cost is zero.
 
         Raises:
-            MetricError: If any sample is NaN or negative.
+            MetricError: If any sample is NaN, infinite or negative.
         """
         array = np.asarray(values, dtype=np.float64)
         if array.size == 0:
             return
-        if np.isnan(array).any():
-            raise MetricError("histogram sample must not be NaN")
+        if not np.isfinite(array).all():
+            raise MetricError("histogram samples must be finite, not NaN or infinite")
         if (array < 0.0).any():
             raise MetricError("histogram sample must be >= 0")
         positive = array[array > 0.0]
@@ -310,7 +314,11 @@ class MetricFamily:
 
     Families with no declared label names behave as a single series:
     ``family.inc()`` / ``family.set()`` / ``family.record()`` delegate
-    to the implicit unlabelled child.
+    to the implicit unlabelled child, which is resolved once and cached,
+    so these conveniences cost one attribute read on top of the child's
+    own update.  A labelled family's :meth:`labels` validates its label
+    set on every call; per-request paths bind ``family.labels(...)``
+    once and keep the child.
     """
 
     def __init__(
@@ -329,6 +337,8 @@ class MetricFamily:
         self._clock = clock
         self._options = options
         self._children: Dict[Tuple[str, ...], _Sample] = {}
+        #: The ``()`` child of an unlabelled family, once first used.
+        self._unlabelled: Optional[_Sample] = None
         self._lock = threading.Lock()
 
     def labels(self, **labels):
@@ -346,12 +356,15 @@ class MetricFamily:
         return child
 
     def _default(self):
-        if self.labelnames:
-            raise MetricError(
-                f"metric {self.name!r} declares labels {self.labelnames}; "
-                "use .labels(...)"
-            )
-        return self.labels()
+        child = self._unlabelled
+        if child is None:
+            if self.labelnames:
+                raise MetricError(
+                    f"metric {self.name!r} declares labels {self.labelnames}; "
+                    "use .labels(...)"
+                )
+            child = self._unlabelled = self.labels()
+        return child
 
     # Unlabelled conveniences ------------------------------------------------
     def inc(self, amount: float = 1.0) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ class TestCounter:
         with pytest.raises(MetricError, match="NaN"):
             counter.inc(float("nan"))
 
+    @pytest.mark.parametrize("amount", [math.inf, -math.inf])
+    def test_infinite_increment_rejected(self, amount):
+        # An accepted infinity would put ``Infinity`` (not JSON under
+        # RFC 8259) into every later METRICS frame.
+        registry = MetricsRegistry()
+        counter = registry.counter("inf_total")
+        with pytest.raises(MetricError, match="finite"):
+            counter.inc(amount)
+        assert counter.value == 0.0
+        json.dumps(registry.snapshot(), allow_nan=False)
+
 
 class TestGauge:
     def test_set_and_inc(self):
@@ -73,6 +85,18 @@ class TestGauge:
         gauge = registry.gauge("bad_depth")
         with pytest.raises(MetricError, match="NaN"):
             gauge.set(float("nan"))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_value_rejected(self, value):
+        registry = MetricsRegistry()
+        gauge = registry.gauge("inf_depth")
+        gauge.set(3.0)
+        with pytest.raises(MetricError, match="finite"):
+            gauge.set(value)
+        with pytest.raises(MetricError, match="finite"):
+            gauge.inc(value)
+        assert gauge.value == 3.0
+        json.dumps(registry.snapshot(), allow_nan=False)
 
 
 class TestHistogram:
@@ -127,6 +151,27 @@ class TestHistogram:
         with pytest.raises(MetricError, match=">= 0"):
             histogram.record_many([1.0, -0.5])
         assert histogram.count == 0
+
+    def test_infinite_sample_rejected(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("inf_seconds").labels()
+        for value in (math.inf, -math.inf):
+            with pytest.raises(MetricError, match="finite"):
+                histogram.record(value)
+        assert histogram.count == 0
+
+    def test_record_many_rejects_infinity_without_filing_it(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("batch_inf_seconds").labels()
+        histogram.record_many([1.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (math.inf, -math.inf):
+                with pytest.raises(MetricError, match="finite"):
+                    histogram.record_many([1.0, 2.0, bad])
+        assert histogram.count == 2
+        assert histogram.quantile(0.99) == 2.0
+        assert min(histogram.buckets) >= 0
 
     def test_record_many_empty_is_noop(self):
         registry = MetricsRegistry()
@@ -189,6 +234,32 @@ class TestRegistry:
             family.labels(node="n0")
         with pytest.raises(MetricError, match="declares labels"):
             family.inc()
+
+    def test_labelled_family_stays_strict_after_unlabelled_fast_path(self):
+        # The unlabelled conveniences cache the ``()`` child; a labelled
+        # family must still refuse them, before and after it has children.
+        registry = MetricsRegistry()
+        plain = registry.counter("plain_total")
+        plain.inc(2)
+        assert plain.value == 2.0
+        assert plain.labels() is plain.samples()[0]
+        family = registry.counter("by_sla_total", labelnames=("sla",))
+        family.labels(sla="latency").inc()
+        for _ in range(2):
+            with pytest.raises(MetricError, match="declares labels"):
+                family.inc()
+            with pytest.raises(MetricError, match="declares labels"):
+                family.value
+        gauge = registry.gauge("by_node_depth", labelnames=("node",))
+        with pytest.raises(MetricError, match="declares labels"):
+            gauge.set(1.0)
+        histogram = registry.histogram("by_node_seconds", labelnames=("node",))
+        with pytest.raises(MetricError, match="declares labels"):
+            histogram.record(1.0)
+        with pytest.raises(MetricError, match="declares labels"):
+            histogram.record_many([1.0])
+        assert [child.value for child in family.samples()] == [1.0]
+        assert gauge.samples() == [] and histogram.samples() == []
 
     def test_label_children_are_distinct_series(self):
         registry = MetricsRegistry()

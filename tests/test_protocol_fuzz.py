@@ -15,6 +15,9 @@ of exactly two outcomes every time:
 Live-server properties additionally require the standard courtesy: a
 ``malformed_frame`` ERROR frame before the connection closes.
 
+On the encoding side, ``TestEncoderBytes`` pins the payload bytes of
+:func:`encode_frame` to plain compact ``json.dumps`` for any JSON value.
+
 Profiles come from ``tests/conftest.py`` (``ci`` bounded/derandomized,
 ``REPRO_HYPOTHESIS_PROFILE=nightly`` for the deep sweep).
 """
@@ -53,6 +56,40 @@ def valid_frames() -> st.SearchStrategy[bytes]:
         st.sampled_from(list(FrameType)),
         payloads,
     )
+
+
+#: Any JSON value: non-ASCII text, signed zeros, subnormal and huge
+#: floats, ints past 64 bits, nested lists and objects, bools and null.
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(min_value=2**63, max_value=2**200),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(
+            [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+        ),
+        st.text(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+class TestEncoderBytes:
+    @given(
+        st.sampled_from(list(FrameType)),
+        st.dictionaries(st.text(max_size=8), json_values, max_size=6),
+    )
+    def test_payload_bytes_are_compact_json_dumps(self, frame_type, payload):
+        frame = encode_frame(frame_type, payload)
+        expected = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        assert frame[HEADER_SIZE:] == expected
+        assert decode_frame(frame) == (frame_type, json.loads(expected))
 
 
 class TestDecoderFuzz:
