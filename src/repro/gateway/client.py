@@ -1,6 +1,10 @@
 """Client SDK for the gateway wire protocol: sync + async, pool + retry.
 
-Two clients share the protocol module and the retry policy:
+One policy core, two transport drivers.  :class:`_ClientCore` holds the
+per-call policy free of I/O: :meth:`_ClientCore._predict_steps` is the
+whole retry loop as a generator that yields "send this REQUEST" or
+"sleep this long" and is told what came back.  Each client drives it over
+its own transport:
 
 * :class:`GatewayClient` — synchronous, built on blocking sockets behind a
   thread-safe connection pool (one request in flight per pooled
@@ -19,7 +23,7 @@ correlated load: a synchronized thundering herd retrying on the
 deterministic schedule re-collides every round, while full jitter spreads
 the herd across the whole backoff window (the classic AWS result).  The
 sleep *and* the jitter RNG are injectable, so tests pin the schedule
-without real waiting.
+without real waiting.  Both clients keep the same ``counters``.
 
 Protocol revision 3 adds the resilience surface (see docs/PROTOCOL.md §6):
 
@@ -28,13 +32,14 @@ Protocol revision 3 adds the resilience surface (see docs/PROTOCOL.md §6):
   expired work with ``ERROR {"code": "shed"}``, surfaced as
   :class:`GatewayShedError`, and the client refuses to even send once the
   budget is locally gone (:class:`DeadlineExpiredError`);
-* **circuit breaking** — an optional :class:`CircuitBreaker` trips to
+* **circuit breaking** (sync client only, like the reconnect-once of a
+  dead pooled socket) — an optional :class:`CircuitBreaker` trips to
   *open* after consecutive transport failures, fails calls fast with
   :class:`CircuitOpenError` while open, and probes with a single
   *half-open* request after the reset timeout;
-* **hedged requests** — the async client can re-send an idempotent
-  ``images_ref`` request that is slow to return and take whichever reply
-  lands first (``hedge_after_s``);
+* **hedged requests** (async client only, like pipelining) — an
+  idempotent ``images_ref`` request that is slow to return is re-sent and
+  whichever reply lands first wins (``hedge_after_s``);
 * **CANCEL / HEALTH** — :meth:`AsyncGatewayClient.cancel` unwinds a
   queued request, and both clients expose the server's ``HEALTH`` probe.
 
@@ -42,7 +47,7 @@ Image tensors are transferred once: the SDK computes the wire content
 digest locally (:func:`~repro.gateway.protocol.images_digest`), optimistically
 sends ``images_ref``, and falls back to a full ``images`` payload when the
 server answers ``unknown_images_ref`` (a restarted server loses its
-cache).
+cache).  That one re-upload is not charged against ``retries``.
 """
 
 from __future__ import annotations
@@ -256,7 +261,7 @@ class GatewayResult:
             latency/energy, deadline outcome, execution mode...).
         images_ref: Content digest under which the server cached the
             images (present when this request uploaded them).
-        attempts: Admission attempts taken (1 = no BUSY retry).
+        attempts: REQUEST frames sent (1 = no retry and no re-upload).
         wire_latency_s: Wall-clock send-to-response time of the winning
             attempt.
     """
@@ -301,44 +306,157 @@ def _backoff_delay_s(
     return min(cap_s, max(hint_s, ceiling))
 
 
-def _request_payload(
-    wire_id,
-    model_id: str,
-    images: np.ndarray,
-    ref: str,
-    send_full: bool,
-    sla: str,
-    deadline_s: Optional[float],
-    budget_s: Optional[float] = None,
-) -> dict:
-    """Build one REQUEST payload, by reference or with the full tensor.
+class _ClientCore:
+    """The retry policy and per-client state both gateway clients share.
 
-    ``budget_s`` is the *remaining* wall-clock budget at send time — each
-    retry stamps a smaller value, which is what lets the server shed work
-    whose caller has already timed out (deadline propagation).
+    No I/O happens here.  :meth:`_predict_steps` is one ``predict`` call
+    as a generator of transport actions; each client is a thin driver that
+    performs those actions on its own transport.
     """
-    payload: dict = {"id": wire_id, "model_id": model_id, "sla": sla}
-    if deadline_s is not None:
-        payload["deadline_s"] = deadline_s
-    if budget_s is not None:
-        payload["budget_s"] = budget_s
-    if send_full:
-        payload["images"] = encode_images(images)
-    else:
-        payload["images_ref"] = ref
-    return payload
 
+    def __init__(
+        self,
+        retries: int,
+        backoff_base_s: float,
+        backoff_cap_s: float,
+        retry_budget_s: Optional[float],
+        rng,
+    ) -> None:
+        self.retries = retries
+        self.backoff_base_s = backoff_base_s
+        self.backoff_cap_s = backoff_cap_s
+        self.retry_budget_s = retry_budget_s
+        # Only ``rng.uniform(low, high)`` is called, so a numpy Generator
+        # serves as well as a random.Random.
+        self._rng = rng if rng is not None else random.Random()
+        self._ids = itertools.count()
+        self._known_refs: set = set()
+        #: Client-side resilience accounting (monotonic totals); the async
+        #: client has no reconnect or breaker, so those two stay 0 there.
+        self.counters: Dict[str, int] = {
+            "requests": 0,
+            "busy_retries": 0,
+            "reconnects": 0,
+            "transport_errors": 0,
+            "shed": 0,
+            "expired_local": 0,
+            "breaker_rejections": 0,
+        }
 
-def _result_from_response(payload: dict, attempts: int, latency_s: float) -> GatewayResult:
-    """Convert a RESPONSE payload into a :class:`GatewayResult`."""
-    return GatewayResult(
-        predictions=np.asarray(payload["predictions"]),
-        request_id=int(payload["request_id"]),
-        trace=payload.get("trace", {}),
-        images_ref=payload.get("images_ref"),
-        attempts=attempts,
-        wire_latency_s=latency_s,
-    )
+    def _predict_steps(
+        self,
+        model_id: str,
+        images: np.ndarray,
+        sla: str,
+        deadline_s: Optional[float],
+        budget_s: Optional[float],
+    ):
+        """One ``predict`` call's policy, as a generator of transport actions.
+
+        Each REQUEST stamps the *remaining* wall-clock budget, which is what
+        lets the server shed work whose caller has already timed out.
+        ``retries`` bounds the admission attempts (BUSY and mangled-frame
+        re-sends); the one re-upload after ``unknown_images_ref`` is not
+        charged against it, while the result's ``attempts`` counts every
+        REQUEST sent.
+
+        Yields:
+            ``(payload, hedgeable)`` — send this REQUEST payload and resume
+            with ``(frame_type, reply, latency_s)``; ``hedgeable`` is true
+            only for an idempotent ``images_ref`` send — or a backoff delay
+            in seconds, to sleep before resuming with ``None``.
+
+        Returns:
+            The :class:`GatewayResult`; failures raise the typed errors
+            documented on :meth:`GatewayClient.predict`.
+        """
+        images = np.asarray(images, dtype=np.float64)
+        ref = images_digest(images)
+        send_full = ref not in self._known_refs
+        started = time.perf_counter()
+        slept_s = 0.0
+        attempt = 0
+        sent = 0
+        self.counters["requests"] += 1
+        while True:
+            if budget_s is not None:
+                remaining_s = budget_s - (time.perf_counter() - started)
+                if remaining_s <= 0.0:
+                    self.counters["expired_local"] += 1
+                    raise DeadlineExpiredError(
+                        f"deadline budget {budget_s}s expired before attempt {sent + 1}",
+                        elapsed_s=time.perf_counter() - started,
+                    )
+            payload = {"id": next(self._ids), "model_id": model_id, "sla": sla}
+            if deadline_s is not None:
+                payload["deadline_s"] = deadline_s
+            if budget_s is not None:
+                payload["budget_s"] = remaining_s
+            if send_full:
+                payload["images"] = encode_images(images)
+            else:
+                payload["images_ref"] = ref
+            frame_type, reply, latency_s = yield payload, not send_full
+            sent += 1
+            if frame_type is FrameType.RESPONSE:
+                self._known_refs.add(ref)
+                return GatewayResult(
+                    predictions=np.asarray(reply["predictions"]),
+                    request_id=int(reply["request_id"]),
+                    trace=reply.get("trace", {}),
+                    images_ref=reply.get("images_ref"),
+                    attempts=sent,
+                    wire_latency_s=latency_s,
+                )
+            if frame_type is FrameType.ERROR:
+                code = reply.get("code", "unknown")
+                if code == "unknown_images_ref" and not send_full:
+                    # A restarted server lost its cache: re-upload once.
+                    self._known_refs.discard(ref)
+                    send_full = True
+                    continue
+                if code == "shed":
+                    self.counters["shed"] += 1
+                    raise GatewayShedError(code, reply.get("message", ""))
+                if code == "malformed_frame" and attempt < self.retries:
+                    # The request bytes were mangled in transit: the server
+                    # never parsed them (re-sending cannot double-execute)
+                    # and closes the stream after this courtesy frame.  The
+                    # next attempt reconnects and re-sends.
+                    self.counters["transport_errors"] += 1
+                    attempt += 1
+                    continue
+                raise GatewayRequestError(code, reply.get("message", ""))
+            if frame_type is not FrameType.BUSY:
+                raise GatewayError(f"unexpected frame {frame_type.name} to a request")
+            hint_s = float(reply.get("retry_after_s", 0.0))
+            draining = bool(reply.get("draining", False))
+            if attempt == self.retries:
+                raise GatewayBusyError(
+                    f"server still busy after {sent} attempts",
+                    retry_after_s=hint_s,
+                    draining=draining,
+                )
+            delay_s = _backoff_delay_s(
+                attempt, hint_s, self.backoff_base_s, self.backoff_cap_s, rng=self._rng
+            )
+            if self.retry_budget_s is not None and slept_s + delay_s > self.retry_budget_s:
+                raise RetryBudgetExceeded(
+                    f"retry budget {self.retry_budget_s}s exhausted after {sent} attempts",
+                    retry_after_s=hint_s,
+                    draining=draining,
+                )
+            self.counters["busy_retries"] += 1
+            slept_s += delay_s
+            yield delay_s
+            attempt += 1
+
+    @staticmethod
+    def _expect(sent_type: FrameType, frame_type: FrameType, reply: dict) -> dict:
+        """``reply``, or :class:`GatewayError` unless it echoes ``sent_type``."""
+        if frame_type is not sent_type:
+            raise GatewayError(f"unexpected frame {frame_type.name} to {sent_type.name}")
+        return reply
 
 
 class _PooledConnection:
@@ -381,7 +499,7 @@ class _PooledConnection:
                     return decoded
 
 
-class GatewayClient:
+class GatewayClient(_ClientCore):
     """Synchronous gateway client with connection pooling and retry.
 
     Thread-safe: up to ``pool_size`` threads issue requests concurrently,
@@ -423,32 +541,16 @@ class GatewayClient:
         rng: Optional[random.Random] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
+        super().__init__(retries, backoff_base_s, backoff_cap_s, retry_budget_s, rng)
         self.host = host
         self.port = port
-        self.retries = retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.retry_budget_s = retry_budget_s
         self.timeout_s = timeout_s
         self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
         self.breaker = breaker
         self._idle: List[_PooledConnection] = []
         self._slots = threading.BoundedSemaphore(pool_size)
         self._lock = threading.Lock()
-        self._ids = itertools.count()
-        self._known_refs: set = set()
         self._closed = False
-        #: Client-side resilience accounting (monotonic totals).
-        self.counters: Dict[str, int] = {
-            "requests": 0,
-            "busy_retries": 0,
-            "reconnects": 0,
-            "transport_errors": 0,
-            "shed": 0,
-            "expired_local": 0,
-            "breaker_rejections": 0,
-        }
 
     # ------------------------------------------------------------------ #
     # Pool plumbing
@@ -526,85 +628,18 @@ class GatewayClient:
             GatewayError: The connection died repeatedly or the server
                 answered out of protocol.
         """
-        images = np.asarray(images, dtype=np.float64)
-        ref = images_digest(images)
-        send_full = ref not in self._known_refs
-        last_hint = 0.0
-        draining = False
-        started = time.perf_counter()
-        slept_s = 0.0
-        self.counters["requests"] += 1
-        for attempt in range(self.retries + 1):
-            remaining_s = None
-            if budget_s is not None:
-                remaining_s = budget_s - (time.perf_counter() - started)
-                if remaining_s <= 0.0:
-                    self.counters["expired_local"] += 1
-                    raise DeadlineExpiredError(
-                        f"deadline budget {budget_s}s expired before attempt "
-                        f"{attempt + 1}",
-                        elapsed_s=time.perf_counter() - started,
-                    )
-            wire_id = next(self._ids)
-            payload = _request_payload(
-                wire_id, model_id, images, ref, send_full, sla, deadline_s,
-                budget_s=remaining_s,
-            )
-            frame_type, reply, latency_s = self._roundtrip(
-                encode_frame(FrameType.REQUEST, payload)
-            )
-            if frame_type is FrameType.RESPONSE:
-                self._known_refs.add(ref)
-                return _result_from_response(reply, attempt + 1, latency_s)
-            if frame_type is FrameType.BUSY:
-                last_hint = float(reply.get("retry_after_s", 0.0))
-                draining = bool(reply.get("draining", False))
-                if attempt < self.retries:
-                    delay_s = _backoff_delay_s(
-                        attempt,
-                        last_hint,
-                        self.backoff_base_s,
-                        self.backoff_cap_s,
-                        rng=self._rng,
-                    )
-                    if (
-                        self.retry_budget_s is not None
-                        and slept_s + delay_s > self.retry_budget_s
-                    ):
-                        raise RetryBudgetExceeded(
-                            f"retry budget {self.retry_budget_s}s exhausted "
-                            f"after {attempt + 1} attempts",
-                            retry_after_s=last_hint,
-                            draining=draining,
-                        )
-                    self.counters["busy_retries"] += 1
-                    slept_s += delay_s
-                    self._sleep(delay_s)
-                continue
-            if frame_type is FrameType.ERROR:
-                code = reply.get("code", "unknown")
-                if code == "unknown_images_ref" and not send_full:
-                    # A restarted server lost its cache: re-upload once.
-                    self._known_refs.discard(ref)
-                    send_full = True
-                    continue
-                if code == "shed":
-                    self.counters["shed"] += 1
-                    raise GatewayShedError(code, reply.get("message", ""))
-                if code == "malformed_frame" and attempt < self.retries:
-                    # The request bytes were mangled in transit: the server
-                    # never parsed them (re-sending cannot double-execute)
-                    # and closes the stream after this courtesy frame.  The
-                    # next attempt reconnects and re-sends.
-                    self.counters["transport_errors"] += 1
-                    continue
-                raise GatewayRequestError(code, reply.get("message", ""))
-            raise GatewayError(f"unexpected frame {frame_type.name} to a request")
-        raise GatewayBusyError(
-            f"server still busy after {self.retries + 1} attempts",
-            retry_after_s=last_hint,
-            draining=draining,
-        )
+        steps = self._predict_steps(model_id, images, sla, deadline_s, budget_s)
+        outcome = None
+        while True:
+            try:
+                action = steps.send(outcome)
+            except StopIteration as done:
+                return done.value
+            if isinstance(action, tuple):
+                outcome = self._roundtrip(encode_frame(FrameType.REQUEST, action[0]))
+            else:
+                self._sleep(action)
+                outcome = None
 
     def ping(self) -> float:
         """Round-trip a PING; returns the wall-clock latency in seconds."""
@@ -620,21 +655,11 @@ class GatewayClient:
             The health payload: ``state`` (``ready`` / ``live`` /
             ``draining``), ``queue_depth``, ``queue_limit``, ``draining``.
         """
-        frame_type, reply, _ = self._roundtrip(
-            encode_frame(FrameType.HEALTH, {"id": next(self._ids)})
-        )
-        if frame_type is not FrameType.HEALTH:
-            raise GatewayError(f"unexpected frame {frame_type.name} to HEALTH")
-        return reply
+        return self._query(FrameType.HEALTH)
 
     def stats(self) -> Dict[str, float]:
         """Fetch the server's counters via the wire STATS query."""
-        frame_type, reply, _ = self._roundtrip(
-            encode_frame(FrameType.STATS, {"id": next(self._ids)})
-        )
-        if frame_type is not FrameType.STATS:
-            raise GatewayError(f"unexpected frame {frame_type.name} to STATS")
-        return reply["stats"]
+        return self._query(FrameType.STATS)["stats"]
 
     def metrics(self) -> dict:
         """Scrape the server's full metrics registry (wire METRICS query).
@@ -645,12 +670,14 @@ class GatewayClient:
         ``python -m repro.obs report``.  METRICS is a protocol revision-2
         frame, so this raises against a pre-revision-2 server.
         """
-        frame_type, reply, _ = self._roundtrip(
-            encode_frame(FrameType.METRICS, {"id": next(self._ids)})
+        return self._query(FrameType.METRICS)["snapshot"]
+
+    def _query(self, frame_type: FrameType) -> dict:
+        """Round-trip one control frame; its reply must echo the type."""
+        reply_type, reply, _ = self._roundtrip(
+            encode_frame(frame_type, {"id": next(self._ids)})
         )
-        if frame_type is not FrameType.METRICS:
-            raise GatewayError(f"unexpected frame {frame_type.name} to METRICS")
-        return reply["snapshot"]
+        return self._expect(frame_type, reply_type, reply)
 
     def _roundtrip(self, frame: bytes):
         """One request/response exchange on a pooled connection.
@@ -709,12 +736,15 @@ class GatewayClient:
             self.breaker.record_failure()
 
 
-class AsyncGatewayClient:
+class AsyncGatewayClient(_ClientCore):
     """Pipelined asyncio client: many requests in flight on one stream.
 
     A single reader task demultiplexes replies by the echoed request id,
     so callers simply ``await predict(...)`` concurrently; BUSY retries
-    re-submit under a fresh id after an (injectable) async sleep.
+    re-submit under a fresh id after an (injectable) async sleep.  Once
+    the stream fails or :meth:`close` runs, every pending and later call
+    raises :class:`GatewayError` instead of waiting for a reply that
+    cannot come.
 
     Args:
         host: Gateway host.
@@ -740,20 +770,16 @@ class AsyncGatewayClient:
         sleep=asyncio.sleep,
         rng: Optional[random.Random] = None,
     ) -> None:
+        super().__init__(retries, backoff_base_s, backoff_cap_s, retry_budget_s, rng)
         self.host = host
         self.port = port
-        self.retries = retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.retry_budget_s = retry_budget_s
         self._sleep = sleep
-        self._rng = rng if rng is not None else random.Random()
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._waiters: Dict[object, asyncio.Future] = {}
-        self._ids = itertools.count()
-        self._known_refs: set = set()
+        # Why the stream can no longer answer (None while it can).
+        self._failure: Optional[str] = None
         self.drained = False
         #: Hedging accounting: hedges issued / hedges whose copy won.
         self.hedges_sent = 0
@@ -764,10 +790,12 @@ class AsyncGatewayClient:
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
+        self._failure = None
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     async def close(self) -> None:
-        """Close the stream and cancel the reader task (idempotent)."""
+        """Fail every pending call, then close the stream (idempotent)."""
+        self._fail_waiters("client is closed")
         if self._reader_task is not None:
             self._reader_task.cancel()
             try:
@@ -792,6 +820,14 @@ class AsyncGatewayClient:
         """Close on exit."""
         await self.close()
 
+    def _fail_waiters(self, reason: str) -> None:
+        """Record why the stream is dead and fail every pending exchange."""
+        self._failure = reason
+        for waiter in self._waiters.values():
+            if not waiter.done():
+                waiter.set_exception(GatewayError(reason))
+        self._waiters.clear()
+
     async def _read_loop(self) -> None:
         """Route every inbound frame to the future waiting on its id."""
         decoder = FrameDecoder()
@@ -810,13 +846,12 @@ class AsyncGatewayClient:
         except asyncio.CancelledError:
             raise
         except Exception as error:  # noqa: BLE001 - fan the failure out
-            for waiter in self._waiters.values():
-                if not waiter.done():
-                    waiter.set_exception(GatewayError(str(error)))
-            self._waiters.clear()
+            self._fail_waiters(str(error))
 
     async def _exchange(self, frame_type: FrameType, payload: dict):
         """Send one frame and await the reply frame with the same id."""
+        if self._failure is not None:
+            raise GatewayError(self._failure)
         waiter = asyncio.get_event_loop().create_future()
         self._waiters[payload["id"]] = waiter
         self._writer.write(encode_frame(frame_type, payload))
@@ -829,9 +864,7 @@ class AsyncGatewayClient:
             # never accumulate.
             self._waiters.pop(payload["id"], None)
 
-    async def _exchange_hedged(
-        self, build_payload, hedge_after_s: float
-    ):
+    async def _exchange_hedged(self, payload: dict, hedge_after_s: float):
         """One REQUEST exchange with a single hedged re-send.
 
         The primary is sent immediately; if no reply lands within
@@ -841,15 +874,13 @@ class AsyncGatewayClient:
         may execute.  The loser's reply is discarded by the demultiplexer
         when it eventually arrives.
         """
-        primary = asyncio.ensure_future(
-            self._exchange(FrameType.REQUEST, build_payload(next(self._ids)))
-        )
+        primary = asyncio.ensure_future(self._exchange(FrameType.REQUEST, payload))
         done, _ = await asyncio.wait({primary}, timeout=hedge_after_s)
         if done:
             return primary.result()
         self.hedges_sent += 1
         hedge = asyncio.ensure_future(
-            self._exchange(FrameType.REQUEST, build_payload(next(self._ids)))
+            self._exchange(FrameType.REQUEST, dict(payload, id=next(self._ids)))
         )
         done, pending = await asyncio.wait(
             {primary, hedge}, return_when=asyncio.FIRST_COMPLETED
@@ -895,84 +926,26 @@ class AsyncGatewayClient:
             GatewayShedError: The server shed the request (budget spent).
             DeadlineExpiredError: The budget expired client-side.
             GatewayRequestError: The server rejected or failed the request.
-            GatewayError: The stream failed.
+            GatewayError: The stream failed or the client is closed.
         """
-        images = np.asarray(images, dtype=np.float64)
-        ref = images_digest(images)
-        send_full = ref not in self._known_refs
-        last_hint = 0.0
-        draining = False
-        call_started = time.perf_counter()
-        slept_s = 0.0
-        for attempt in range(self.retries + 1):
-            remaining_s = None
-            if budget_s is not None:
-                remaining_s = budget_s - (time.perf_counter() - call_started)
-                if remaining_s <= 0.0:
-                    raise DeadlineExpiredError(
-                        f"deadline budget {budget_s}s expired before attempt "
-                        f"{attempt + 1}",
-                        elapsed_s=time.perf_counter() - call_started,
-                    )
-
-            def _build_payload(wire_id, _remaining=remaining_s, _full=send_full):
-                return _request_payload(
-                    wire_id, model_id, images, ref, _full, sla, deadline_s,
-                    budget_s=_remaining,
-                )
-
-            started = time.perf_counter()
-            if hedge_after_s is not None and not send_full:
-                frame_type, reply = await self._exchange_hedged(
-                    _build_payload, hedge_after_s
-                )
-            else:
-                frame_type, reply = await self._exchange(
-                    FrameType.REQUEST, _build_payload(next(self._ids))
-                )
-            latency_s = time.perf_counter() - started
-            if frame_type is FrameType.RESPONSE:
-                self._known_refs.add(ref)
-                return _result_from_response(reply, attempt + 1, latency_s)
-            if frame_type is FrameType.BUSY:
-                last_hint = float(reply.get("retry_after_s", 0.0))
-                draining = bool(reply.get("draining", False))
-                if attempt < self.retries:
-                    delay_s = _backoff_delay_s(
-                        attempt,
-                        last_hint,
-                        self.backoff_base_s,
-                        self.backoff_cap_s,
-                        rng=self._rng,
-                    )
-                    if (
-                        self.retry_budget_s is not None
-                        and slept_s + delay_s > self.retry_budget_s
-                    ):
-                        raise RetryBudgetExceeded(
-                            f"retry budget {self.retry_budget_s}s exhausted "
-                            f"after {attempt + 1} attempts",
-                            retry_after_s=last_hint,
-                            draining=draining,
-                        )
-                    slept_s += delay_s
-                    await self._sleep(delay_s)
+        steps = self._predict_steps(model_id, images, sla, deadline_s, budget_s)
+        outcome = None
+        while True:
+            try:
+                action = steps.send(outcome)
+            except StopIteration as done:
+                return done.value
+            if not isinstance(action, tuple):
+                await self._sleep(action)
+                outcome = None
                 continue
-            if frame_type is FrameType.ERROR:
-                code = reply.get("code", "unknown")
-                if code == "unknown_images_ref" and not send_full:
-                    self._known_refs.discard(ref)
-                    send_full = True
-                    continue
-                if code == "shed":
-                    raise GatewayShedError(code, reply.get("message", ""))
-                raise GatewayRequestError(code, reply.get("message", ""))
-            raise GatewayError(f"unexpected frame {frame_type.name} to a request")
-        raise GatewayBusyError(
-            f"server still busy after {self.retries + 1} attempts",
-            retry_after_s=last_hint,
-            draining=draining,
-        )
+            payload, hedgeable = action
+            started = time.perf_counter()
+            if hedge_after_s is not None and hedgeable:
+                frame_type, reply = await self._exchange_hedged(payload, hedge_after_s)
+            else:
+                frame_type, reply = await self._exchange(FrameType.REQUEST, payload)
+            outcome = (frame_type, reply, time.perf_counter() - started)
 
     async def cancel(self, target_id) -> bool:
         """Unwind one queued request by its wire id (revision-3 CANCEL).
@@ -986,27 +959,20 @@ class AsyncGatewayClient:
             False when it was already past the point of no return (its
             result still arrives).
         """
-        frame_type, reply = await self._exchange(
-            FrameType.CANCEL, {"id": next(self._ids), "target_id": target_id}
-        )
-        if frame_type is not FrameType.CANCEL:
-            raise GatewayError(f"unexpected frame {frame_type.name} to CANCEL")
+        reply = await self._query(FrameType.CANCEL, target_id=target_id)
         return bool(reply.get("cancelled"))
 
     async def health(self) -> Dict[str, object]:
         """Probe the server's health (revision-3 HEALTH frame)."""
-        frame_type, reply = await self._exchange(
-            FrameType.HEALTH, {"id": next(self._ids)}
-        )
-        if frame_type is not FrameType.HEALTH:
-            raise GatewayError(f"unexpected frame {frame_type.name} to HEALTH")
-        return reply
+        return await self._query(FrameType.HEALTH)
 
     async def stats(self) -> Dict[str, float]:
         """Fetch the server's counters via the wire STATS query."""
-        frame_type, reply = await self._exchange(
-            FrameType.STATS, {"id": next(self._ids)}
+        return (await self._query(FrameType.STATS))["stats"]
+
+    async def _query(self, frame_type: FrameType, **fields) -> dict:
+        """Exchange one control frame; its reply must echo the type."""
+        reply_type, reply = await self._exchange(
+            frame_type, {"id": next(self._ids), **fields}
         )
-        if frame_type is not FrameType.STATS:
-            raise GatewayError(f"unexpected frame {frame_type.name} to STATS")
-        return reply["stats"]
+        return self._expect(frame_type, reply_type, reply)

@@ -7,15 +7,19 @@ payloads the client would have put on the wire are kept for inspection.
 Hypothesis draws the reply scripts (RESPONSE, BUSY with a hint and a
 draining flag, and the ERROR codes the policy branches on) together with
 the client settings, and the invariants of PROTOCOL.md §6 are checked on
-every draw.
+every draw.  Both clients drive one policy core, so the same script must
+give the same sleeps, outcome, counters and payloads on either.
 """
 
+import asyncio
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gateway import (
+    AsyncGatewayClient,
     FrameType,
     GatewayBusyError,
     GatewayClient,
@@ -51,6 +55,14 @@ RNGS = {
     "random": random.Random,
     "numpy": np.random.default_rng,
 }
+
+
+class CeilingRng:
+    """A jitter RNG pinned to the top of the window: the doubling schedule."""
+
+    @staticmethod
+    def uniform(_low, high):
+        return high
 
 
 def outcome_of(call):
@@ -93,6 +105,32 @@ def run_sync(script, retries, retry_budget_s, rng, ref_known):
     if ref_known:
         client._known_refs.add(images_digest(IMAGES))
     outcome = outcome_of(lambda: client.predict("cnn", IMAGES))
+    return outcome, sleeps, dict(client.counters), payloads
+
+
+def run_async(script, retries, retry_budget_s, rng, ref_known):
+    """Drive ``AsyncGatewayClient.predict`` through ``script``; as :func:`run_sync`."""
+    sleeps = []
+
+    async def sleep(delay_s):
+        sleeps.append(delay_s)
+
+    client = AsyncGatewayClient(
+        "unused", 0, retries=retries, backoff_base_s=BASE_S,
+        backoff_cap_s=CAP_S, retry_budget_s=retry_budget_s, sleep=sleep, rng=rng,
+    )
+    replies = iter(script)
+    payloads = []
+
+    async def exchange(frame_type, payload):
+        assert frame_type is FrameType.REQUEST
+        payloads.append(payload)
+        return next(replies, RESPONSE)
+
+    client._exchange = exchange
+    if ref_known:
+        client._known_refs.add(images_digest(IMAGES))
+    outcome = outcome_of(lambda: asyncio.run(client.predict("cnn", IMAGES)))
     return outcome, sleeps, dict(client.counters), payloads
 
 
@@ -141,33 +179,60 @@ CALLS = dict(
     retry_budget_s=st.one_of(st.none(), st.floats(0.0, 0.3)),
     rng_kind=st.sampled_from(sorted(RNGS)),
     seed=st.integers(0, 2**16),
+    ref_known=st.booleans(),
 )
 
 
-class TestSyncPolicy:
+class TestBothClients:
     @settings(max_examples=200)
     @given(**CALLS)
-    def test_policy_invariants_hold(self, script, retries, retry_budget_s, rng_kind, seed):
-        run = run_sync(script, retries, retry_budget_s, RNGS[rng_kind](seed), False)
-        check_invariants(script, retries, retry_budget_s, False, run)
+    def test_same_script_same_behaviour(
+        self, script, retries, retry_budget_s, rng_kind, seed, ref_known
+    ):
+        runs = [
+            run(script, retries, retry_budget_s, RNGS[rng_kind](seed), ref_known)
+            for run in (run_sync, run_async)
+        ]
+        assert runs[0] == runs[1]
+        check_invariants(script, retries, retry_budget_s, ref_known, runs[0])
 
-    def test_full_upload_rejected_as_unknown_ref_is_a_request_error(self):
-        outcome, sleeps, _, payloads = run_sync(
+
+@pytest.mark.parametrize("run", [run_sync, run_async])
+class TestPolicyCases:
+    def test_reupload_is_not_charged_against_retries(self, run):
+        # The server lost the cached tensor; it never said BUSY, so the
+        # call must not fail as busy even with no retries left.
+        outcome, sleeps, _, payloads = run(
+            [error("unknown_images_ref")], 0, None, random.Random(0), True
+        )
+        assert outcome == ("result", 2, None, None)
+        assert sleeps == []
+        assert ["images_ref" in payload for payload in payloads] == [True, False]
+
+    def test_reupload_keeps_the_backoff_schedule(self, run):
+        script = [busy(0.0, False), error("unknown_images_ref"), busy(0.0, False)]
+        outcome, sleeps, counters, _ = run(script, 2, None, CeilingRng(), True)
+        assert outcome == ("result", 4, None, None)
+        assert sleeps == [BASE_S, 2 * BASE_S]
+        assert counters["busy_retries"] == 2
+
+    def test_full_upload_rejected_as_unknown_ref_is_a_request_error(self, run):
+        outcome, sleeps, _, payloads = run(
             [error("unknown_images_ref")], 3, None, random.Random(0), False
         )
         assert outcome == ("GatewayRequestError", None, None, "unknown_images_ref")
         assert sleeps == [] and len(payloads) == 1
 
-    def test_shed_maps_to_the_typed_error(self):
-        outcome, _, counters, _ = run_sync(
+    def test_shed_maps_to_the_typed_error(self, run):
+        outcome, _, counters, _ = run(
             [busy(0.0, False), error("shed")], 3, None, random.Random(0), False
         )
         assert outcome[0] == GatewayShedError.__name__
         assert issubclass(GatewayShedError, GatewayRequestError)
         assert counters["shed"] == 1 and counters["busy_retries"] == 1
 
-    def test_exhausted_attempts_raise_busy_with_the_last_hint(self):
-        outcome, sleeps, _, payloads = run_sync(
+    def test_exhausted_attempts_raise_busy_with_the_last_hint(self, run):
+        outcome, sleeps, _, payloads = run(
             [busy(0.0, False), busy(0.03, True)], 1, None, random.Random(0), False
         )
         assert outcome == (GatewayBusyError.__name__, 0.03, True, None)

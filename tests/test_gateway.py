@@ -35,6 +35,7 @@ from repro.gateway import (
     FrameType,
     GatewayBusyError,
     GatewayClient,
+    GatewayError,
     GatewayRequestError,
     ProtocolError,
     ThreadedGateway,
@@ -804,9 +805,12 @@ class TestAsyncClient:
                 ) as client:
                     with pytest.raises(GatewayBusyError):
                         await client.predict("cnn", dataset.test_images[1:2])
+                    return client.counters
 
-            asyncio.run(drive())
+            counters = asyncio.run(drive())
             assert recorded == [0.01, 0.02]
+            assert counters["busy_retries"] == 2
+            assert counters["requests"] == 1
             gw.server.resume_dispatch()
             ((frame_type, _),) = recv_frames(filler, 1)
             assert frame_type is FrameType.RESPONSE
@@ -814,6 +818,70 @@ class TestAsyncClient:
         finally:
             gw.stop()
             router.shutdown()
+
+
+    @staticmethod
+    def run_with_fake_server(handler, scenario):
+        """Run ``scenario(port)`` against a bare asyncio server on loopback."""
+        import asyncio
+
+        async def drive():
+            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            try:
+                await scenario(server.sockets[0].getsockname()[1])
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(drive())
+
+    def test_dead_stream_fails_every_later_call(self):
+        import asyncio
+
+        images = np.zeros((1, 1, 2, 2))
+
+        async def hang_up(reader, writer):
+            await reader.read(65536)
+            writer.close()
+
+        async def scenario(port):
+            async with AsyncGatewayClient("127.0.0.1", port) as client:
+                calls = [
+                    lambda: client.predict("cnn", images),
+                    lambda: client.predict("cnn", images),
+                    client.stats,
+                    client.health,
+                    lambda: client.cancel(0),
+                ]
+                # The first call dies with the stream; every later one must
+                # fail at once instead of waiting for a reply.
+                for call in calls:
+                    with pytest.raises(GatewayError):
+                        await asyncio.wait_for(call(), 5)
+
+        self.run_with_fake_server(hang_up, scenario)
+
+    def test_close_fails_a_predict_in_flight(self):
+        import asyncio
+
+        received = asyncio.Event()
+
+        async def never_answer(reader, writer):
+            await reader.read(65536)
+            received.set()
+            await reader.read()  # until the client hangs up
+            writer.close()
+
+        async def scenario(port):
+            client = AsyncGatewayClient("127.0.0.1", port)
+            await client.connect()
+            call = asyncio.ensure_future(client.predict("cnn", np.zeros((1, 1, 2, 2))))
+            await asyncio.wait_for(received.wait(), 5)
+            await client.close()
+            with pytest.raises(GatewayError, match="client is closed"):
+                await asyncio.wait_for(call, 5)
+
+        self.run_with_fake_server(never_answer, scenario)
 
 
 class TestStatsScrapeParity:
