@@ -431,7 +431,7 @@ class _ClientCore:
                 raise GatewayError(f"unexpected frame {frame_type.name} to a request")
             hint_s = float(reply.get("retry_after_s", 0.0))
             draining = bool(reply.get("draining", False))
-            if attempt == self.retries:
+            if attempt >= self.retries:
                 raise GatewayBusyError(
                     f"server still busy after {sent} attempts",
                     retry_after_s=hint_s,
