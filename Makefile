@@ -20,6 +20,9 @@
 #   make docs-links   internal markdown link/anchor checker
 #   make chip-bench   just the sharded multi-macro scaling benchmark
 #   make examples     run every example script end-to-end
+#   make src-delta    added, removed and net lines under src/ since BASE
+#                     (default HEAD~1; tracked files, so `git add` new
+#                     ones first): make src-delta BASE=<commit>
 
 PYTHON      ?= python
 PYTHONPATH  := src
@@ -41,7 +44,10 @@ TRACKED_BENCHES := benchmarks/bench_chip_scaling.py \
 #: Coverage floor the CI coverage job enforces (keep in sync with ci.yml).
 COV_FAIL_UNDER := 83
 
-.PHONY: test lint coverage bench bench-smoke bench-full bench-check perfbench-selftest scale-smoke ci docs-check docs-links chip-bench examples clean
+#: Commit `make src-delta` measures the src/ line delta against.
+BASE ?= HEAD~1
+
+.PHONY: test lint coverage bench bench-smoke bench-full bench-check perfbench-selftest scale-smoke ci docs-check docs-links chip-bench examples src-delta clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -107,6 +113,10 @@ examples:
 		echo "== $$script"; \
 		$(PYTHON) $$script || exit 1; \
 	done
+
+src-delta:
+	@git diff --numstat $(BASE) -- src | awk \
+		'{ added += $$1; removed += $$2 } END { printf "src/ vs %s: +%d / -%d = net %+d lines\n", "$(BASE)", added, removed, added - removed }'
 
 clean:
 	rm -rf .pytest_cache benchmarks/results

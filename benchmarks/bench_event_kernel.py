@@ -3,8 +3,8 @@
 ``ClusterRouter(kernel="columnar")`` runs the object router's own
 per-request loop and adds the :class:`repro.cluster.EventKernel` turbo
 chunks: steady-state replay chunks admitted and dispatched in batch, with
-telemetry in columnar ledgers and engine charges replayed in vectorized
-folds at flush time — identical placements, ledgers, telemetry and fault
+their trace rows appended as plain tuples and engine charges replayed in
+vectorized folds at flush time — identical placements, ledgers, telemetry and fault
 handling (the differential suite pins bit-exactness).  This benchmark
 measures what that buys on an identical trace-replay loop and exercises
 the kernel's aggregate-only deployment shape:
@@ -13,7 +13,7 @@ the kernel's aggregate-only deployment shape:
   (both kernels on the analytic execution path; the object router costs
   hundreds of microseconds of Python bookkeeping per request);
 * **columnar** — the full diurnal trace through the event kernel with
-  ``ColumnarTelemetry(retain_traces=False)`` and ``retain_results=False``:
+  ``ClusterTelemetry(retain_traces=False)`` and ``retain_results=False``:
   aggregates only, O(1) memory in the request count;
 * **fidelity** — both kernels on the same prefix, summaries and cluster
   ledgers compared field by field (must match exactly);
@@ -44,7 +44,7 @@ import resource
 from repro.cluster import (
     ClusterNode,
     ClusterRouter,
-    ColumnarTelemetry,
+    ClusterTelemetry,
     ExecutionMode,
     ForwardMemo,
     SLAScheduler,
@@ -149,7 +149,7 @@ def _make_router(
         scheduler=SLAScheduler(),
         kernel=kernel,
         telemetry=(
-            ColumnarTelemetry(retain_traces=False) if aggregates_only else None
+            ClusterTelemetry(retain_traces=False) if aggregates_only else None
         ),
         retain_results=not aggregates_only,
     )

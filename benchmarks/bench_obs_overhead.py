@@ -39,7 +39,7 @@ from repro.analysis.report import format_table
 from repro.cluster import (
     ClusterNode,
     ClusterRouter,
-    ColumnarTelemetry,
+    ClusterTelemetry,
     ExecutionMode,
     ForwardMemo,
     SLAScheduler,
@@ -123,7 +123,7 @@ def _make_router(cnn, instrumented: bool):
         nodes,
         scheduler=SLAScheduler(),
         kernel="columnar",
-        telemetry=ColumnarTelemetry(retain_traces=False),
+        telemetry=ClusterTelemetry(retain_traces=False),
         retain_results=False,
         metrics=metrics,
         tracer=tracer,

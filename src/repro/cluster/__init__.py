@@ -31,7 +31,7 @@ Typical wiring::
 """
 
 from repro.cluster.autoscale import ReactiveAutoscaler, ScalingAction
-from repro.cluster.kernel import ColumnarTelemetry, EventKernel
+from repro.cluster.kernel import EventKernel
 from repro.cluster.node import (
     ClusterNode,
     ExecutionMode,
@@ -50,7 +50,12 @@ from repro.cluster.scheduler import (
     SLAClass,
     SLAScheduler,
 )
-from repro.cluster.telemetry import ClusterTelemetry, NodeTelemetry, RequestTrace
+from repro.cluster.telemetry import (
+    ClusterTelemetry,
+    ColumnarTelemetry,
+    NodeTelemetry,
+    RequestTrace,
+)
 from repro.cluster.workload import (
     WorkloadTrace,
     build_image_pool,

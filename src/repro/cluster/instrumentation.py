@@ -7,9 +7,9 @@ affordable.  Instrumentation therefore has three tiers:
 
 1. **Vectorised folds** — per-request facts (latency, energy, images,
    deadline misses, coalescing, replays) are folded into the registry in
-   bulk at the telemetry's natural flush boundaries
-   (:meth:`ClusterInstrumentation.fold_rows`), one numpy pass per chunk
-   instead of one Python call per request.
+   bulk at the telemetry's one flush boundary
+   (:meth:`ClusterInstrumentation.fold_columns`), one numpy pass per
+   chunk instead of one Python call per request, on either kernel.
 2. **Collectors** — anything readable from live state (queue depth,
    virtual clock, fault log, node cache/residency counters) is pulled
    lazily at scrape time via :meth:`MetricsRegistry.register_collector`,
@@ -17,10 +17,11 @@ affordable.  Instrumentation therefore has three tiers:
 3. **Direct hooks** — only genuinely rare events (park/wake transitions,
    autoscaler actions, drains) increment counters inline.
 
-Span emission follows the same rule: the columnar kernel emits its
-modeled-time span trees retroactively during the fold, only for sampled
-requests (``request_id % sample_every == 0``); the object router emits
-inline at dispatch, where it is already paying per-request Python cost.
+Span emission has one rule on both kernels: the router's per-request
+loop emits a sampled request's span tree inline at dispatch (it is
+already paying per-request Python cost there), and the fold emits spans
+only for turbo rows, the batch-replayed requests no loop saw.  A request
+is sampled iff ``request_id % sample_every == 0``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.obs import MetricsRegistry, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.cluster.router import ClusterRouter
-    from repro.cluster.telemetry import RequestTrace
 
 __all__ = ["ClusterInstrumentation", "attach_cluster_observability"]
 
@@ -65,8 +65,6 @@ class ClusterInstrumentation:
     def __init__(self, metrics: MetricsRegistry, tracer: Optional[Tracer] = None):
         self.metrics = metrics
         self.tracer = tracer
-        #: Object-path fold cursor over ``ClusterTelemetry.traces``.
-        self._object_folded = 0
         #: Sorted node ids, set by :func:`attach_cluster_observability`.
         #: The fleet is fixed at router construction, so folds can skip
         #: re-deriving the distinct node set from every row chunk.
@@ -200,57 +198,10 @@ class ClusterInstrumentation:
     # ------------------------------------------------------------------ #
     # Vectorised folds (tier 1)
     # ------------------------------------------------------------------ #
-    def fold_rows(
-        self,
-        rows: Sequence[tuple],
-        energies: Sequence[Optional[float]],
-        emit_spans: bool = True,
-        cols: Optional[List[tuple]] = None,
-    ) -> Dict[int, int]:
-        """Fold telemetry rows (18-field tuples) into the registry in bulk.
-
-        Called by the columnar telemetry at flush boundaries and (via
-        :meth:`fold_traces`) by the scrape-time collector for the object
-        router.  Returns ``{request_id: root span id}`` for the sampled
-        requests whose modeled span trees were emitted here (empty when
-        ``emit_spans`` is false or no tracer is attached).
-
-        ``cols`` is an optional pre-transposed view of ``rows`` (one tuple
-        per field).  The row→column transpose is half the fold's cost, and
-        the columnar telemetry's aggregate fold computes the exact same
-        transpose — sharing it is what keeps the instrumented replay
-        inside the ≤5% overhead gate.
-        """
-        if not rows:
-            return {}
-        if cols is None:
-            cols = list(zip(*rows))
-        try:
-            # Deferred energies are resolved before the fold, so the
-            # column is normally all-float and converts in one C pass.
-            energy = np.asarray(energies, dtype=np.float64)
-        except (TypeError, ValueError):
-            energy = np.asarray(
-                [0.0 if e is None else e for e in energies], dtype=np.float64
-            )
-        arrival = np.asarray(cols[5], dtype=np.float64)
-        finish = np.asarray(cols[7], dtype=np.float64)
-        sla_arr = np.asarray(cols[3], dtype=object)
-        return self.fold_columns(
-            cols,
-            energy=energy,
-            images=np.asarray(cols[4], dtype=np.int64),
-            arrival=arrival,
-            finish=finish,
-            latency=finish - arrival,
-            missed=np.asarray(cols[10], dtype=bool),
-            sla_masks={sla: sla_arr == sla for sla in sorted(set(cols[3]))},
-            emit_spans=emit_spans,
-        )
-
     def fold_columns(
         self,
         cols: List[tuple],
+        rows: Sequence[object],
         *,
         energy: np.ndarray,
         images: np.ndarray,
@@ -259,19 +210,22 @@ class ClusterInstrumentation:
         latency: np.ndarray,
         missed: np.ndarray,
         sla_masks: Dict[str, np.ndarray],
-        coalesced_n: Optional[int] = None,
-        replayed_n: Optional[int] = None,
-        emit_spans: bool = True,
+        coalesced_n: int,
+        replayed_n: int,
     ) -> Dict[int, int]:
-        """The fold itself, on pre-transposed columns and shared arrays.
+        """Fold one chunk of telemetry rows into the registry in bulk.
 
-        ``ColumnarTelemetry._flush`` calls this directly with the arrays
-        its own aggregate fold computes anyway — every argument here is
-        work the bare (uninstrumented) flush already does, so the fold's
-        marginal cost is just the grouped ``bincount`` sums below.  The
-        per-``(sla, node)`` series are resolved by integer group codes
-        and three weighted bincounts instead of a masked fancy-indexing
-        pass per pair.
+        :meth:`ClusterTelemetry.flush <repro.cluster.telemetry.ClusterTelemetry.flush>`
+        calls this with the field columns of ``rows`` (one tuple per
+        field) and the arrays its own aggregate fold computes anyway, so
+        the fold's marginal cost is just the grouped ``bincount`` sums
+        below.  The per-``(sla, node)`` series are resolved by integer
+        group codes and three weighted bincounts instead of a masked
+        fancy-indexing pass per pair.
+
+        Returns ``{request_id: root span id}`` for the sampled turbo rows
+        (plain tuples in ``rows``) whose span trees were emitted here;
+        per-request rows were traced inline at dispatch.
         """
         n = len(cols[0])
         node_col = cols[2]
@@ -279,12 +233,8 @@ class ClusterInstrumentation:
 
         start = np.asarray(cols[6], dtype=np.float64)
         self.queue_delay.record_many(start - arrival)
-        if coalesced_n is None:
-            coalesced_n = n - cols[15].count(1) - cols[15].count(0)
         if coalesced_n:
             self.coalesced.inc(coalesced_n)
-        if replayed_n is None:
-            replayed_n = n - cols[17].count(False)
         if replayed_n:
             self.replayed.inc(replayed_n)
         self.folds.inc()
@@ -327,11 +277,13 @@ class ClusterInstrumentation:
 
         span_map: Dict[int, int] = {}
         tracer = self.tracer
-        if emit_spans and tracer is not None and tracer.sample_every > 0:
+        if tracer is not None and tracer.sample_every > 0:
             ids = np.asarray(cols[0], dtype=np.int64)
             compute_col = cols[8]
             sampled = np.nonzero(ids % tracer.sample_every == 0)[0]
             for index in sampled.tolist():
+                if rows[index].__class__ is not tuple:
+                    continue
                 request_id = int(ids[index])
                 span_map[request_id] = tracer.emit_request(
                     request_id,
@@ -343,37 +295,6 @@ class ClusterInstrumentation:
                     sla=sla_col[index],
                 )
         return span_map
-
-    def fold_traces(self, traces: Sequence["RequestTrace"]) -> Dict[int, int]:
-        """Fold :class:`RequestTrace` objects (object-router path).
-
-        The object router emits spans inline at dispatch (it is already
-        per-request Python), so the fold here only aggregates metrics.
-        """
-        rows: List[Tuple] = [
-            (
-                t.request_id,
-                t.model_id,
-                t.node_id,
-                t.sla,
-                t.images,
-                t.arrival_s,
-                t.start_s,
-                t.finish_s,
-                t.compute_s,
-                t.deadline_s,
-                t.deadline_missed,
-                t.affinity_hit,
-                t.programmed,
-                t.feasible_at_admission,
-                t.execution_mode,
-                t.coalesced,
-                t.spot_checked,
-                t.replayed,
-            )
-            for t in traces
-        ]
-        return self.fold_rows(rows, [t.energy_j for t in traces], emit_spans=False)
 
     # ------------------------------------------------------------------ #
     # Direct hooks (tier 3)
@@ -387,17 +308,8 @@ class ClusterInstrumentation:
     # ------------------------------------------------------------------ #
     def collect(self, router: "ClusterRouter") -> None:
         """Pull live router/node state into the registry (scrape time)."""
-        telemetry = router.telemetry
-        if hasattr(telemetry, "_flush"):
-            # Columnar path: flushing runs the fold hook installed by
-            # attach_cluster_observability, catching any unfolded tail.
-            telemetry._flush()
-        else:
-            traces = telemetry.traces
-            if len(traces) > self._object_folded:
-                self.fold_traces(traces[self._object_folded :])
-                self._object_folded = len(traces)
-
+        # Folds every row recorded since the last flush into the registry.
+        router.telemetry.flush()
         self.clock.set(router.clock_s)
         self.queue_depth.set(float(router.queue_depth()))
         _set_monotonic(
@@ -465,17 +377,21 @@ def attach_cluster_observability(
     """Wire a router (either kernel) into a registry and optional tracer.
 
     Idempotent per router: attaching twice replaces the previous
-    instrumentation object.  The registry's virtual clock becomes the
-    router's modeled clock, a scrape-time collector is registered, and —
-    on the columnar path — the telemetry's flush boundary gains the
-    vectorised fold.
+    instrumentation object, and the telemetry's one fold cursor still
+    counts each request once.  The registry's virtual clock becomes the
+    router's modeled clock, a scrape-time collector is registered, and the
+    telemetry's flush boundary gains the vectorised fold: every row the
+    telemetry flushes from then on reaches the registry (rows an earlier
+    flush already folded are not replayed).
     """
     instrumentation = ClusterInstrumentation(metrics, tracer)
     instrumentation.node_ids = tuple(sorted(node.node_id for node in router.nodes))
     metrics.set_virtual_clock(lambda: router.clock_s)
     router._obs = instrumentation
-    telemetry = router.telemetry
-    if hasattr(telemetry, "attach_instrumentation"):
-        telemetry.attach_instrumentation(instrumentation)
+    router.telemetry.instrumentation = instrumentation
+    if tracer is not None and router.tracer is None:
+        # The per-request loop traces inline through the router's tracer;
+        # the fold above traces only turbo rows.
+        router.tracer = tracer
     metrics.register_collector(lambda _registry: instrumentation.collect(router))
     return instrumentation

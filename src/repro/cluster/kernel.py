@@ -1,16 +1,19 @@
-"""Columnar accelerator for the cluster router: turbo replay + telemetry.
+"""Columnar accelerator for the cluster router: turbo replay + deferred charges.
 
 ``ClusterRouter(kernel="columnar")`` runs the router's one per-request
 serving loop — admission, SLA placement, the lazy dispatch heap, fault
-injection, parked-backlog replay, coalescing — and adds three things
-from this module:
+injection, parked-backlog replay, coalescing — and adds two things from
+this module:
 
 * **Turbo chunk replay.**  :meth:`EventKernel.replay_trace` runs each
   steady-state ``drain_every`` chunk of a workload trace (warm analytic
-  fleet, stock scheduler, no coalescing, no fault due, aggregates only) as
-  one batch admission+dispatch pass that reproduces the per-request loop's
-  placements, virtual times and telemetry value for value.  Every other
-  chunk goes through the router's own ``submit``/``drain``.
+  fleet, stock scheduler, no coalescing, no fault due, no per-request
+  results) as one batch admission+dispatch pass that reproduces the
+  per-request loop's placements, virtual times and telemetry value for
+  value.  Its trace rows go into the router's one
+  :class:`~repro.cluster.telemetry.ClusterTelemetry` as plain tuples
+  (``record_rows_batch``), energies deferred.  Every other chunk goes
+  through the router's own ``submit``/``drain``.
 * **Deferred charge replay.**  A turbo dispatch's engine charges are a
   fixed template per (model, slice size): the same
   :meth:`~repro.core.matmul.TiledMatmulEngine.charge_layers` rows in the
@@ -21,12 +24,9 @@ from this module:
   Integer counters are batch-added (exact), LRU order is restored from
   last-touch order, and per-dispatch energies are recovered from the
   accumulator's slice boundaries exactly as ``ledger_since`` subtracts
-  them.
-* **Columnar telemetry.**  :class:`ColumnarTelemetry` stores one tuple per
-  trace (turbo energies filled at flush) and serves every aggregate with
-  the same left-fold order ``sum()`` uses; ``retain_traces=False`` folds
-  chunks into running aggregates and drops the rows, which is what keeps a
-  10^8-request replay in flat memory.
+  them, then handed to the telemetry (``set_energy_batch``).  The
+  kernel's flush is the telemetry's flush hook, so every telemetry
+  aggregate sees final energies.
 
 The fidelity contract ("bit-identical" to ``kernel="object"``) covers every
 externally observable number: merged ledgers (cycles *and* float energy),
@@ -40,14 +40,13 @@ still pending.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.node import ClusterNode, ExecutionMode, NodeState
 from repro.cluster.scheduler import SLAClass, SLAScheduler
-from repro.cluster.telemetry import RequestTrace
+from repro.cluster.telemetry import ClusterTelemetry, _fold
 from repro.core import Opcode
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_positive
@@ -59,482 +58,7 @@ _SLA_VALUES = (
     SLAClass.BEST_EFFORT.value,
 )
 
-__all__ = ["ColumnarTelemetry", "EventKernel"]
-
-
-def _fold(start: float, parts: List[np.ndarray]) -> float:
-    """Strict sequential left fold ``start + p[0] + p[1] + ...`` (bit-exact).
-
-    ``np.add.accumulate`` on float64 applies the same rounding sequence a
-    Python ``+=`` loop does, so the result equals the object router's
-    accumulator value bit for bit.
-    """
-    lead = np.empty(1, dtype=np.float64)
-    lead[0] = start
-    return float(np.add.accumulate(np.concatenate([lead] + parts))[-1])
-
-
-class ColumnarTelemetry:
-    """Drop-in :class:`~repro.cluster.telemetry.ClusterTelemetry` replacement
-    storing traces as columnar rows instead of dataclass objects.
-
-    The windowed reactive signals (recent miss rate, model heat, recent SLA
-    presence) are maintained online and never require a flush; whole-history
-    aggregates flush the kernel's deferred energies first and then fold the
-    columns in exactly the order the object implementation's ``sum()`` folds
-    its trace list.  With ``retain_traces=False`` flushed rows are folded
-    into running aggregates and dropped (flat memory); only ``summary()``,
-    ``deadline_miss_rate``, ``request_count``, ``total_energy_j`` and the
-    recent signals stay available in that mode.
-    """
-
-    #: RequestTrace field order, minus energy_j (deferred; parallel column).
-    _ROW_FIELDS = 18
-
-    #: Rows buffered in aggregate mode before they are folded into the
-    #: running aggregates and dropped (the flat-memory flush cadence).
-    _AGG_FLUSH_ROWS = 65536
-
-    def __init__(self, window: int = 32, retain_traces: bool = True) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self.retain_traces = retain_traces
-        self._rows: List[tuple] = []
-        self._energy: List[Optional[float]] = []
-        self._recent: Deque[Tuple[str, str, bool, bool]] = deque(maxlen=window)
-        self._recent_model_counts: Dict[str, int] = {}
-        #: Lifetime count of deadline-carrying traces (the autoscaler's
-        #: "fresh latency traffic" signal without slicing the trace list).
-        self.deadline_trace_count = 0
-        self._flush_hook: Optional[Callable[[], None]] = None
-        #: Optional :class:`repro.cluster.instrumentation.ClusterInstrumentation`
-        #: folded into at flush boundaries (vectorised; never per-row).
-        self.instrumentation = None
-        #: Rows already folded into the instrumentation registry.
-        self._obs_folded = 0
-        #: request_id → root span id for sampled requests (spans are
-        #: emitted retroactively during the instrumentation fold).
-        self._span_by_request: Dict[int, int] = {}
-        #: Materialized RequestTrace cache (extends incrementally).
-        self._trace_objs: List[RequestTrace] = []
-        self._columns_stamp = -1
-        self._columns: Dict[str, np.ndarray] = {}
-        # Aggregate-mode running folds (exact sequential continuations).
-        self._agg_count = 0
-        self._agg_images = 0
-        self._agg_energy = 0.0
-        self._agg_latency = 0.0
-        self._agg_affinity = 0
-        self._agg_programmed = 0
-        self._agg_analytic = 0
-        self._agg_coalesced = 0
-        self._agg_spot = 0
-        self._agg_replayed = 0
-        self._agg_sla_count: Dict[str, int] = {}
-        self._agg_eligible: Dict[Optional[str], int] = {}
-        self._agg_missed: Dict[Optional[str], int] = {}
-
-    # ------------------------------------------------------------------ #
-    # Recording
-    # ------------------------------------------------------------------ #
-    def _note(self, model_id: str, sla: str, has_deadline: bool, missed: bool) -> None:
-        """Maintain the sliding window exactly as the object telemetry does."""
-        counts = self._recent_model_counts
-        recent = self._recent
-        if len(recent) == self.window:
-            evicted = recent[0][0]
-            remaining = counts[evicted] - 1
-            if remaining:
-                counts[evicted] = remaining
-            else:
-                del counts[evicted]
-        recent.append((model_id, sla, has_deadline, missed))
-        counts[model_id] = counts.get(model_id, 0) + 1
-        if has_deadline:
-            self.deadline_trace_count += 1
-
-    def record(self, trace: RequestTrace) -> None:
-        """Append one trace (the router loop's :class:`ClusterTelemetry` API).
-
-        Stored as the :class:`RequestTrace` field tuple *without*
-        ``energy_j``: (request_id, model_id, node_id, sla, images,
-        arrival_s, start_s, finish_s, compute_s, deadline_s,
-        deadline_missed, affinity_hit, programmed, feasible_at_admission,
-        execution_mode, coalesced, spot_checked, replayed); the energy goes
-        to a parallel column, which turbo rows fill at flush time.
-        """
-        self._rows.append((
-            trace.request_id, trace.model_id, trace.node_id, trace.sla,
-            trace.images, trace.arrival_s, trace.start_s, trace.finish_s,
-            trace.compute_s, trace.deadline_s, trace.deadline_missed,
-            trace.affinity_hit, trace.programmed,
-            trace.feasible_at_admission, trace.execution_mode,
-            trace.coalesced, trace.spot_checked, trace.replayed,
-        ))
-        self._energy.append(trace.energy_j)
-        self._note(
-            trace.model_id, trace.sla, trace.deadline_s is not None,
-            trace.deadline_missed,
-        )
-
-    def record_rows_batch(self, rows: List[tuple]) -> int:
-        """Append a chunk of trace rows (energies deferred); returns the
-        index of the first appended row.
-
-        The batch entry point of the kernel's turbo replay: one call per
-        dispatch chunk instead of one per request.  The sliding window ends
-        in the same state sequential :meth:`record` calls leave it in —
-        when the chunk covers the whole window only the tail can survive,
-        so the window is rebuilt from the tail directly.
-        """
-        base = len(self._rows)
-        self._rows.extend(rows)
-        self._energy.extend([None] * len(rows))
-        if len(rows) >= self.window:
-            recent = self._recent
-            recent.clear()
-            recent.extend(
-                (r[1], r[3], r[9] is not None, r[10])
-                for r in rows[len(rows) - self.window :]
-            )
-            counts: Dict[str, int] = {}
-            for item in recent:
-                counts[item[0]] = counts.get(item[0], 0) + 1
-            self._recent_model_counts = counts
-            self.deadline_trace_count += sum(
-                1 for r in rows if r[9] is not None
-            )
-        else:
-            for r in rows:
-                self._note(r[1], r[3], r[9] is not None, r[10])
-        return base
-
-    def maybe_fold(self) -> None:
-        """Fold-and-drop when the aggregate-mode row buffer grows large.
-
-        Called at dispatch-chunk boundaries (never mid-dispatch: folding
-        resolves the kernel's deferred energies first, which must not run
-        while a dispatch is still appending its rows).  A no-op with
-        retained traces or below the buffering threshold.
-        """
-        if not self.retain_traces and len(self._rows) >= self._AGG_FLUSH_ROWS:
-            self._flush()
-
-    def set_energy_batch(
-        self, indexes: Sequence[int], energies: Sequence[float]
-    ) -> None:
-        """Fill many deferred energy shares in one pass."""
-        column = self._energy
-        for index, energy in zip(indexes, energies):
-            column[index] = energy
-
-    def attach_instrumentation(self, instrumentation) -> None:
-        """Fold future flushes into a cluster instrumentation registry.
-
-        Rows recorded before attachment are folded on the next flush too
-        (the cursor starts at the current fold position, which is zero on
-        a fresh telemetry).
-        """
-        self.instrumentation = instrumentation
-
-    # ------------------------------------------------------------------ #
-    # Flush / aggregate-mode folding
-    # ------------------------------------------------------------------ #
-    def _flush(self) -> None:
-        """Resolve deferred energies (and fold+drop rows in aggregate mode)."""
-        if self._flush_hook is not None:
-            self._flush_hook()
-        if self.retain_traces or not self._rows:
-            # Retained-trace mode: no aggregate fold runs, so the
-            # observability fold (if attached) walks the unfolded tail on
-            # its own.  Energies are resolved by the hook above, so the
-            # fold sees final values.
-            if self.instrumentation is not None and len(self._rows) > self._obs_folded:
-                spans = self.instrumentation.fold_rows(
-                    self._rows[self._obs_folded :],
-                    self._energy[self._obs_folded :],
-                )
-                if spans:
-                    self._span_by_request.update(spans)
-                self._obs_folded = len(self._rows)
-            return
-        rows = self._rows
-        cols = list(zip(*rows))
-        energy = np.asarray(self._energy, dtype=np.float64)
-        images = np.asarray(cols[4], dtype=np.int64)
-        arrival = np.asarray(cols[5], dtype=np.float64)
-        finish = np.asarray(cols[7], dtype=np.float64)
-        latency = finish - arrival
-        missed = np.asarray(cols[10], dtype=bool)
-        sla_arr = np.asarray(cols[3], dtype=object)
-        sla_masks = {sla: sla_arr == sla for sla in sorted(set(cols[3]))}
-        coalesced_n = sum(1 for c in cols[15] if c > 1)
-        replayed_n = int(np.count_nonzero(cols[17]))
-        if self.instrumentation is not None:
-            # One vectorised observability fold per flush, sharing the
-            # transpose and column arrays the aggregate fold below needs
-            # anyway — the sharing is what keeps the instrumented replay
-            # inside the ≤5% overhead gate.  The fold cursor is always at
-            # zero in aggregate mode (rows are dropped after every flush).
-            spans = self.instrumentation.fold_columns(
-                cols,
-                energy=energy,
-                images=images,
-                arrival=arrival,
-                finish=finish,
-                latency=latency,
-                missed=missed,
-                sla_masks=sla_masks,
-                coalesced_n=coalesced_n,
-                replayed_n=replayed_n,
-            )
-            if spans:
-                self._span_by_request.update(spans)
-        self._agg_count += len(rows)
-        self._agg_images += int(images.sum())
-        self._agg_energy = _fold(self._agg_energy, [energy])
-        self._agg_latency = _fold(self._agg_latency, [latency])
-        self._agg_affinity += int(np.count_nonzero(cols[11]))
-        self._agg_programmed += int(np.count_nonzero(cols[12]))
-        self._agg_analytic += sum(1 for m in cols[14] if m == "analytic")
-        self._agg_coalesced += coalesced_n
-        self._agg_spot += int(np.count_nonzero(cols[16]))
-        self._agg_replayed += replayed_n
-        has_deadline = np.asarray([d is not None for d in cols[9]], dtype=bool)
-        for sla, mask in sla_masks.items():
-            self._agg_sla_count[sla] = self._agg_sla_count.get(sla, 0) + int(
-                mask.sum()
-            )
-            eligible = mask & has_deadline
-            if eligible.any():
-                self._agg_eligible[sla] = self._agg_eligible.get(sla, 0) + int(
-                    eligible.sum()
-                )
-                self._agg_missed[sla] = self._agg_missed.get(sla, 0) + int(
-                    (eligible & missed).sum()
-                )
-        self._agg_eligible[None] = self._agg_eligible.get(None, 0) + int(
-            has_deadline.sum()
-        )
-        self._agg_missed[None] = self._agg_missed.get(None, 0) + int(
-            (has_deadline & missed).sum()
-        )
-        self._rows = []
-        self._energy = []
-        self._trace_objs = []
-        self._obs_folded = 0
-        self._columns_stamp = -1
-
-    def _need_rows(self, what: str) -> None:
-        if not self.retain_traces:
-            raise ConfigurationError(
-                f"{what} needs retained traces; this telemetry was built "
-                "with retain_traces=False (aggregates only)"
-            )
-
-    def _cols(self) -> Dict[str, np.ndarray]:
-        """Columnar views of the retained rows (cached per append stamp)."""
-        if self._columns_stamp != len(self._rows):
-            rows = self._rows
-            cols = list(zip(*rows)) if rows else [[] for _ in range(self._ROW_FIELDS)]
-            self._columns = {
-                "sla": np.asarray(cols[3], dtype=object),
-                "model": np.asarray(cols[1], dtype=object),
-                "images": np.asarray(cols[4], dtype=np.int64),
-                "arrival": np.asarray(cols[5], dtype=np.float64),
-                "finish": np.asarray(cols[7], dtype=np.float64),
-                "has_deadline": np.asarray(
-                    [d is not None for d in cols[9]], dtype=bool
-                ),
-                "missed": np.asarray(cols[10], dtype=bool),
-                "affinity": np.asarray(cols[11], dtype=bool),
-            }
-            self._columns_stamp = len(self._rows)
-        return self._columns
-
-    def _energy_col(self) -> np.ndarray:
-        return np.asarray(self._energy, dtype=np.float64)
-
-    # ------------------------------------------------------------------ #
-    # Reactive signals (online; no flush needed)
-    # ------------------------------------------------------------------ #
-    def recent_deadline_miss_rate(self, sla: Optional[str] = None) -> float:
-        eligible = [
-            t for t in self._recent if t[2] and (sla is None or t[1] == sla)
-        ]
-        if not eligible:
-            return 0.0
-        return sum(t[3] for t in eligible) / len(eligible)
-
-    def recent_model_dispatches(self, model_id: str) -> int:
-        return self._recent_model_counts.get(model_id, 0)
-
-    def recent_has_sla(self, sla: str) -> bool:
-        return any(t[1] == sla for t in self._recent)
-
-    # ------------------------------------------------------------------ #
-    # Whole-history aggregates
-    # ------------------------------------------------------------------ #
-    @property
-    def trace_count(self) -> int:
-        """Lifetime number of recorded traces (cheap; no flush)."""
-        return self._agg_count + len(self._rows)
-
-    @property
-    def traces(self) -> List[RequestTrace]:
-        """Materialized trace objects (flushes deferred energies first)."""
-        self._need_rows("traces")
-        self._flush()
-        built = len(self._trace_objs)
-        if built < len(self._rows):
-            rows = self._rows
-            energy = self._energy
-            span_ids = self._span_by_request
-            for i in range(built, len(rows)):
-                r = rows[i]
-                self._trace_objs.append(
-                    RequestTrace(
-                        r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7], r[8],
-                        energy[i], r[9], r[10], r[11], r[12], r[13], r[14],
-                        r[15], r[16], r[17], span_ids.get(r[0]),
-                    )
-                )
-        return self._trace_objs
-
-    def traces_for(
-        self, sla: Optional[str] = None, model_id: Optional[str] = None
-    ) -> List[RequestTrace]:
-        return [
-            t
-            for t in self.traces
-            if (sla is None or t.sla == sla)
-            and (model_id is None or t.model_id == model_id)
-        ]
-
-    def request_count(self, sla: Optional[str] = None) -> int:
-        """Lifetime trace count, optionally restricted to one SLA class."""
-        if sla is None:
-            return self.trace_count
-        self._flush()
-        cols = self._cols()
-        folded = self._agg_sla_count.get(sla, 0)
-        if len(self._rows):
-            folded += int(np.count_nonzero(cols["sla"] == sla))
-        return folded
-
-    def deadline_miss_rate(self, sla: Optional[str] = None) -> float:
-        self._flush()
-        eligible = self._agg_eligible.get(sla, 0) if sla is not None else (
-            self._agg_eligible.get(None, 0)
-        )
-        missed = self._agg_missed.get(sla, 0) if sla is not None else (
-            self._agg_missed.get(None, 0)
-        )
-        if self._rows:
-            cols = self._cols()
-            mask = cols["has_deadline"]
-            if sla is not None:
-                mask = mask & (cols["sla"] == sla)
-            eligible += int(np.count_nonzero(mask))
-            missed += int(np.count_nonzero(mask & cols["missed"]))
-        if not eligible:
-            return 0.0
-        return missed / eligible
-
-    def total_energy_j(self) -> float:
-        """Lifetime energy fold over the trace log (== sum of energies)."""
-        self._flush()
-        if not self._rows:
-            return self._agg_energy if self._agg_count else 0.0
-        return _fold(self._agg_energy, [self._energy_col()])
-
-    def energy_per_image_j(self, sla: Optional[str] = None) -> float:
-        self._need_rows("energy_per_image_j")
-        self._flush()
-        cols = self._cols()
-        if sla is None:
-            images = int(cols["images"].sum()) if len(self._rows) else 0
-            energy = self._energy_col()
-        else:
-            mask = cols["sla"] == sla
-            images = int(cols["images"][mask].sum()) if len(self._rows) else 0
-            energy = self._energy_col()[mask]
-        if not images:
-            return 0.0
-        return _fold(0.0, [energy]) / images
-
-    def _latencies(self, sla: Optional[str]) -> np.ndarray:
-        cols = self._cols()
-        latency = cols["finish"] - cols["arrival"]
-        if sla is not None:
-            latency = latency[cols["sla"] == sla]
-        return latency
-
-    def latency_quantiles_s(
-        self,
-        quantiles=(0.5, 0.9, 0.99, 0.999),
-        sla: Optional[str] = None,
-    ) -> Dict[float, float]:
-        self._need_rows("latency_quantiles_s")
-        self._flush()
-        latencies = np.sort(self._latencies(sla))
-        if not len(latencies):
-            return {q: 0.0 for q in quantiles}
-        last = len(latencies) - 1
-        return {
-            q: float(latencies[min(last, int(q * len(latencies)))])
-            for q in quantiles
-        }
-
-    def mean_latency_s(self, sla: Optional[str] = None) -> float:
-        self._flush()
-        if sla is None and not self.retain_traces:
-            count = self.trace_count
-            return self._agg_latency / count if count else 0.0
-        self._need_rows("mean_latency_s(sla=...)")
-        latencies = self._latencies(sla)
-        if not len(latencies):
-            return 0.0
-        return _fold(0.0, [latencies]) / len(latencies)
-
-    def summary(self) -> Dict[str, float]:
-        self._flush()
-        cols = self._cols()
-        n = len(self._rows)
-        count = self._agg_count + n
-        images = self._agg_images + (int(cols["images"].sum()) if n else 0)
-        energy = self.total_energy_j() if count else 0.0
-        affinity = self._agg_affinity + (
-            int(np.count_nonzero(cols["affinity"])) if n else 0
-        )
-        rows = self._rows
-        programmed = self._agg_programmed + sum(1 for r in rows if r[12])
-        analytic = self._agg_analytic + sum(
-            1 for r in rows if r[14] == "analytic"
-        )
-        coalesced = self._agg_coalesced + sum(1 for r in rows if r[15] > 1)
-        spot = self._agg_spot + sum(1 for r in rows if r[16])
-        replayed = self._agg_replayed + sum(1 for r in rows if r[17])
-        if self.retain_traces:
-            mean_latency = (
-                _fold(0.0, [self._latencies(None)]) / count if count else 0.0
-            )
-        else:
-            mean_latency = self._agg_latency / count if count else 0.0
-        return {
-            "requests": float(count),
-            "images": float(images),
-            "energy_j": energy,
-            "mean_latency_s": mean_latency,
-            "deadline_miss_rate": self.deadline_miss_rate(),
-            "affinity_hit_rate": (affinity / count if count else 0.0),
-            "programmed_dispatches": float(programmed),
-            "analytic_requests": float(analytic),
-            "coalesced_requests": float(coalesced),
-            "spot_checked_requests": float(spot),
-            "replayed_requests": float(replayed),
-        }
+__all__ = ["EventKernel"]
 
 
 # ---------------------------------------------------------------------- #
@@ -1116,7 +640,7 @@ class EventKernel:
             or type(router.scheduler) is not SLAScheduler
             or router.coalesce
             or router.scheduler.coalesce_affinity
-            or type(router.telemetry) is not ColumnarTelemetry
+            or type(router.telemetry) is not ClusterTelemetry
         ):
             return None
         if router._stranded or router._queued_requests or arr[pos] < 0:

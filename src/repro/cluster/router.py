@@ -133,24 +133,10 @@ class ClusterRouter:
             raise ConfigurationError(
                 f"kernel must be 'object' or 'columnar', got {kernel!r}"
             )
-        if kernel == "object" and not retain_results:
-            raise ConfigurationError(
-                "retain_results=False needs kernel='columnar' (the object "
-                "router always materializes results)"
-            )
         self.kernel = kernel
         #: False keeps no per-request results or placements (drain returns
         #: []); counters and telemetry stay exact.  The flat-memory mode.
         self.retain_results = retain_results
-        if kernel == "columnar":
-            from repro.cluster.kernel import ColumnarTelemetry
-
-            if telemetry is None:
-                telemetry = ColumnarTelemetry()
-            elif not isinstance(telemetry, ColumnarTelemetry):
-                raise ConfigurationError(
-                    "kernel='columnar' needs a ColumnarTelemetry (or None)"
-                )
         self.nodes = nodes
         self._by_id: Dict[str, ClusterNode] = {node.node_id: node for node in nodes}
         self.scheduler = scheduler if scheduler is not None else SLAScheduler()
@@ -687,14 +673,11 @@ class ClusterRouter:
         node = self._by_id[node_id]
         group = self._gather_group(node, start)
 
-        tracer = self.tracer
         if self._impl is not None:
             # Turbo chunks defer this node's engine charges; they land
-            # first so its ledgers keep chronological order.  The columnar
-            # telemetry emits sampled spans when it folds its rows, so
-            # emitting here too would trace them twice.
+            # first so its ledgers keep chronological order.
             self._impl.flush_node(node_id)
-            tracer = None
+        tracer = self.tracer
         span_attrs = None
         if tracer is not None and any(
             tracer.should_sample(request.request_id) for request, _ in group

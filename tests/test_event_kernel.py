@@ -9,10 +9,10 @@ checks each against the plain ``kernel="object"`` router as the oracle:
   :class:`repro.cluster.EventKernel`, their engine charges deferred and
   folded at flush time (``TestTurboDifferential``; chunks that cannot
   take the turbo path fall back to the loop mid-replay);
-* **ColumnarTelemetry vs ClusterTelemetry** — the columnar trace log and
-  its aggregates (``TestDifferentialOracle``, ``TestFaultDifferential``:
-  the per-request loop, recorded into both telemetry kinds), plus span
-  emission: exactly one span tree per sampled request on either kernel.
+* **turbo rows vs per-request rows** — the one trace log and its
+  aggregates (``TestDifferentialOracle``, ``TestFaultDifferential``: the
+  per-request loop on both kernels), plus span emission: exactly one span
+  tree per sampled request on either kernel.
 
 Every comparison replays one randomized workload through both kernels —
 same nodes, same scheduler, same fault plan, same drain cadence — and
@@ -230,8 +230,8 @@ sla_mixes = st.sampled_from([
 
 
 class TestDifferentialOracle:
-    """The per-request loop recorded into ColumnarTelemetry vs
-    ClusterTelemetry: rows, aggregates and ledgers match bit for bit."""
+    """Turbo rows vs per-request rows: the per-request loop on both
+    kernels; rows, aggregates and ledgers match bit for bit."""
 
     @given(
         kind=st.sampled_from(["poisson", "diurnal", "burst"]),
@@ -286,7 +286,7 @@ class TestDifferentialOracle:
 
 class TestFaultDifferential:
     """Fault plans (crash / degrade / stall + replay) across both kernels:
-    replayed requests land in both telemetry logs identically."""
+    replayed requests land in both kernels' trace logs identically."""
 
     @given(
         fault=st.sampled_from(["crash", "degrade", "mixed"]),
@@ -375,9 +375,9 @@ class TestTurboDifferential:
 
 
 class TestSpanEmission:
-    """The per-request loop emits spans inline on the object kernel; the
-    columnar telemetry emits them when it folds its rows (turbo and
-    per-request rows alike).  Neither may trace a request twice."""
+    """The per-request loop emits spans inline on both kernels; the
+    telemetry fold emits them for turbo rows only.  Neither may trace a
+    request twice."""
 
     @pytest.mark.parametrize("kernel", ["object", "columnar"])
     def test_one_span_tree_per_sampled_request(
